@@ -269,38 +269,6 @@ fn bench_view_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Incremental timeline construction at bracketing scale ratios: deriving
-/// the coarse timeline by adjacent-window merging
-/// (`Timeline::aggregated_by_merge`) vs re-scattering the shared event view
-/// from scratch. Ratio 2 is the common case of sweep divisor chains (the
-/// two-way merge fast path); ratio 10 exercises the pair-id bitmap union
-/// taken by wider windows.
-/// Merged timelines are field-for-field identical to scratch ones
-/// (`timeline_incremental.rs`), so this group is pure build cost.
-fn bench_timeline_build(c: &mut Criterion) {
-    let stream = sparse_ring(400, 30);
-    let view = EventView::new(&stream);
-    let mut group = c.benchmark_group("timeline_build");
-    group.throughput(Throughput::Elements(stream.len() as u64));
-    for (fine_k, k) in [(40_000u64, 20_000u64), (40_000, 4_000)] {
-        let fine = Timeline::aggregated_from_view(&view, fine_k);
-        assert_eq!(
-            fine.aggregated_by_merge(k).checksum(),
-            Timeline::aggregated_from_view(&view, k).checksum(),
-            "merged vs scratch checksum diverged at {fine_k} -> {k}"
-        );
-        group.bench_with_input(BenchmarkId::new("scratch", k), &k, |b, &k| {
-            b.iter(|| Timeline::aggregated_from_view(&view, k))
-        });
-        group.bench_with_input(
-            BenchmarkId::new(format!("merge_ratio{}", fine_k / k), k),
-            &k,
-            |b, &k| b.iter(|| fine.aggregated_by_merge(k)),
-        );
-    }
-    group.finish();
-}
-
 /// Exact-timeline (stream) trip enumeration, the Section 8 reference.
 fn bench_stream_trips(c: &mut Criterion) {
     let stream =
@@ -317,7 +285,6 @@ criterion_group!(
     bench_baseline_vs_frontier,
     bench_degree1_fast_path,
     bench_delta_propagation,
-    bench_timeline_build,
     bench_view_aggregation,
     bench_aggregation,
     bench_mk_distance,

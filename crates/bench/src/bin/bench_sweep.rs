@@ -401,64 +401,6 @@ fn measure_delta(workloads: &[(&str, &LinkStream)], scales: &[u64], reps: usize)
     obj(entries)
 }
 
-/// The `timeline` section: per-scale CSR timeline build cost, scratch (the
-/// full radix scatter off the shared event view) vs incremental
-/// (adjacent-window merge from the previously built finer scale,
-/// `Timeline::aggregated_by_merge`), along a divisor ladder per workload.
-/// Merged-vs-scratch checksums are hard-asserted — the merge claims
-/// field-for-field identity, so any divergence is a correctness bug, not
-/// noise.
-fn measure_timeline(workloads: &[(&str, &LinkStream)], fast: bool, reps: usize) -> Value {
-    // consecutive entries divide (ratios 2/5/5/2/10), so every scale after
-    // the first takes the merge path — the access pattern of a sweep's
-    // fine-scale tail, where the per-scale build is a visible wall-time
-    // fraction since the delta engine closed the offer-bound tail
-    let ladder: Vec<u64> = if fast {
-        vec![10_000, 5_000, 1_000, 200, 100]
-    } else {
-        vec![100_000, 50_000, 10_000, 2_000, 1_000, 100]
-    };
-    let mut sections = Vec::new();
-    let mut all_match = true;
-    for &(name, stream) in workloads {
-        let view = EventView::new(stream);
-        let mut rows = Vec::new();
-        let mut fine = Timeline::aggregated_from_view(&view, ladder[0]);
-        for pair in ladder.windows(2) {
-            let (from_k, k) = (pair[0], pair[1]);
-            let merged = fine.aggregated_by_merge(k);
-            let scratch = Timeline::aggregated_from_view(&view, k);
-            let ok = merged.checksum() == scratch.checksum();
-            all_match &= ok;
-            assert!(ok, "merged vs scratch timeline checksum diverged: {name} k={k}");
-            let t_scratch = time_median(reps, || Timeline::aggregated_from_view(&view, k));
-            let t_inc = time_median(reps, || fine.aggregated_by_merge(k));
-            let speedup = t_scratch / t_inc;
-            println!(
-                "  timeline {name} k={from_k:>7} -> {k:>7}  scratch {:>9.3} ms  \
-                 merge {:>9.3} ms  ({speedup:.2}x)",
-                t_scratch * 1e3,
-                t_inc * 1e3,
-            );
-            rows.push(obj(vec![
-                ("k", Value::Int(k as i128)),
-                ("from_k", Value::Int(from_k as i128)),
-                ("ratio", Value::Int((from_k / k) as i128)),
-                ("edges", Value::Int(scratch.total_edges() as i128)),
-                ("scratch_seconds", Value::Float(t_scratch)),
-                ("incremental_seconds", Value::Float(t_inc)),
-                ("speedup", Value::Float(speedup)),
-                ("checksum_match", Value::Bool(ok)),
-            ]));
-            fine = merged;
-        }
-        sections.push((name, Value::Array(rows)));
-    }
-    let mut entries: Vec<(&str, Value)> = vec![("checksums_match", Value::Bool(all_match))];
-    entries.extend(sections);
-    obj(entries)
-}
-
 /// The `streaming` section: what an ingest session's sweep cache buys. A
 /// pinned-period ring stream grows through append rounds landing in the
 /// late suffix (the `/v1/streams` access pattern), and each round times a
@@ -483,10 +425,10 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
     // edge. Append rounds then re-fire existing pairs 1-3 ticks after one
     // of their late comb events — the contact-train texture of streamed
     // face-to-face data, where a live edge keeps firing at closely spaced
-    // timestamps. At every scale whose windows absorb that spacing the
-    // appends deduplicate away, the spliced timeline comes back
-    // field-for-field identical, and the cached histogram is served with
-    // zero DP work; only the tick-finest scales recompute.
+    // timestamps. At every scale whose windows absorb that spacing each
+    // appended event lands in a (pair, window) cell its comb already
+    // occupies, the append is absorbed, and the cached histogram is served
+    // with zero DP work; only the tick-finest scales recompute.
     let append_from = span * 9 / 10;
     let mut builder = LinkStreamBuilder::indexed(Directedness::Undirected, n);
     builder.period(0, span);
@@ -506,9 +448,8 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
     let ctl = SweepControl::new();
     let mut cache = SweepCache::new();
     let cold_start = Instant::now();
-    let cold = method
-        .try_refresh_on(&base, &mut pool, &ctl, &mut cache, None)
-        .expect("never cancelled");
+    let cold =
+        method.try_refresh_on(&base, &mut pool, &ctl, &mut cache).expect("never cancelled");
     let cold_seconds = cold_start.elapsed().as_secs_f64();
     assert!(
         cold.to_json() == method.run_on(&base, &mut pool).to_json(),
@@ -523,13 +464,12 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
     let mut per_round = Vec::new();
     let mut all_identical = true;
     let (mut total_scratch, mut total_refresh) = (0.0f64, 0.0f64);
-    let (mut reused, mut respliced, mut tiles_skipped, mut suffix_rebuilt) =
-        (0u64, 0u64, 0u64, 0u64);
+    let (mut reused, mut tiles_skipped) = (0u64, 0u64);
     let mut scales = 0u64;
     let mut clean_refresh_seconds = 0.0f64;
     // round `rounds` appends nothing: the clean full-reuse refresh
     for r in 0..=rounds {
-        let dirty = if r < rounds {
+        if r < rounds {
             let lo = append_from + (span - append_from) * r / rounds;
             for i in 0..batch {
                 let u = ((i * 13 + r * 7) % n as i64) as u32;
@@ -539,10 +479,7 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
                 let t = (t0 + 1).min(span);
                 builder.add_indexed(u, (u + 1) % n, t);
             }
-            Some(lo)
-        } else {
-            None
-        };
+        }
         let grown = builder.snapshot().expect("non-empty");
         let t_scratch = time_median(reps, || method.run_on(&grown, &mut pool));
         // each rep refreshes a clone of the pre-round cache, so every rep
@@ -550,10 +487,10 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
         // side, making the reported speedup conservative
         let t_refresh = time_median(reps, || {
             let mut warm = cache.clone();
-            method.try_refresh_on(&grown, &mut pool, &ctl, &mut warm, dirty)
+            method.try_refresh_on(&grown, &mut pool, &ctl, &mut warm)
         });
         let refreshed = method
-            .try_refresh_on(&grown, &mut pool, &ctl, &mut cache, dirty)
+            .try_refresh_on(&grown, &mut pool, &ctl, &mut cache)
             .expect("never cancelled");
         let stats = cache.stats;
         let ok = refreshed.to_json() == method.run_on(&grown, &mut pool).to_json();
@@ -562,14 +499,12 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
         let speedup = t_scratch / t_refresh;
         println!(
             "  streaming round {r}: events={:>6}  scratch {:>8.3} ms  refresh {:>8.3} ms  \
-             ({speedup:.2}x)  reused {}/{} respliced {} suffix_windows {}",
+             ({speedup:.2}x)  reused {}/{}",
             grown.len(),
             t_scratch * 1e3,
             t_refresh * 1e3,
             stats.scales_reused,
             stats.scales_total,
-            stats.scales_respliced,
-            stats.suffix_windows_rebuilt,
         );
         if r < rounds {
             total_scratch += t_scratch;
@@ -578,23 +513,17 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
             clean_refresh_seconds = t_refresh;
         }
         reused += stats.scales_reused;
-        respliced += stats.scales_respliced;
         tiles_skipped += stats.tiles_skipped;
-        suffix_rebuilt += stats.suffix_windows_rebuilt;
         scales = stats.scales_total;
         per_round.push(obj(vec![
             ("round", Value::Int(r as i128)),
             ("events", Value::Int(grown.len() as i128)),
-            ("dirty_from", dirty.map_or(Value::Null, |t| Value::Int(t as i128))),
             ("scratch_seconds", Value::Float(t_scratch)),
             ("refresh_seconds", Value::Float(t_refresh)),
             ("speedup", Value::Float(speedup)),
             ("scales_total", Value::Int(stats.scales_total as i128)),
             ("scales_reused", Value::Int(stats.scales_reused as i128)),
-            ("scales_respliced", Value::Int(stats.scales_respliced as i128)),
-            ("scales_scratch", Value::Int(stats.scales_scratch as i128)),
             ("tiles_skipped", Value::Int(stats.tiles_skipped as i128)),
-            ("suffix_windows_rebuilt", Value::Int(stats.suffix_windows_rebuilt as i128)),
             ("reports_identical", Value::Bool(ok)),
         ]));
     }
@@ -618,9 +547,7 @@ fn measure_streaming(fast: bool, reps: usize) -> Value {
         ("cold_refresh_seconds", Value::Float(cold_seconds)),
         ("scales", Value::Int(scales as i128)),
         ("scales_reused", Value::Int(reused as i128)),
-        ("scales_respliced", Value::Int(respliced as i128)),
         ("tiles_skipped", Value::Int(tiles_skipped as i128)),
-        ("suffix_windows_rebuilt", Value::Int(suffix_rebuilt as i128)),
         ("scratch_seconds", Value::Float(total_scratch)),
         ("refresh_seconds", Value::Float(total_refresh)),
         ("clean_refresh_seconds", Value::Float(clean_refresh_seconds)),
@@ -660,13 +587,6 @@ fn main() {
 
     println!("intra-scale parallelism (target tiling + degree-1 fast path):");
     let intra_scale = measure_intra_scale(&dense, &sparse, fast, reps);
-
-    println!("incremental timeline construction (adjacent-window merge) vs scratch:");
-    let timeline = measure_timeline(
-        &[("dense_uniform", &dense), ("sparse_ring", &sparse), ("sparse_burst", &burst)],
-        fast,
-        reps,
-    );
 
     println!("streaming ingest refresh (session sweep cache) vs scratch sweeps:");
     let streaming = measure_streaming(fast, reps);
@@ -718,7 +638,6 @@ fn main() {
         ("sparse_burst", burst_json),
         ("delta", delta),
         ("intra_scale", intra_scale),
-        ("timeline", timeline),
         ("streaming", streaming),
         ("end_to_end", Value::Array(end_to_end)),
         ("aggregate_pipeline_speedup", Value::Float(aggregate)),

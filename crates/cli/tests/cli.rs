@@ -138,7 +138,7 @@ fn synth_analyze_json_end_to_end() {
 }
 
 /// The execution-knob matrix the CI job scripts: every combination of
-/// `--no-delta`, `--no-incremental`, `--tile`, and thread count must emit
+/// `--no-delta`, `--tile`, and thread count must emit
 /// byte-identical JSON — the property that lets ops flip any knob on a
 /// live deployment without reports moving.
 #[test]
@@ -148,10 +148,9 @@ fn execution_knobs_do_not_change_report_bytes() {
     let baseline = saturn(&["analyze", path, "--points", "8", "--threads", "2", "--json"]);
     assert!(baseline.status.success(), "{}", String::from_utf8_lossy(&baseline.stderr));
     for knobs in [
-        &["--no-incremental"][..],
-        &["--no-delta"],
+        &["--no-delta"][..],
         &["--tile", "7"],
-        &["--no-incremental", "--no-delta", "--tile", "3", "--threads", "1"],
+        &["--no-delta", "--tile", "3", "--threads", "1"],
     ] {
         let mut args = vec!["analyze", path, "--points", "8", "--threads", "2", "--json"];
         args.extend_from_slice(knobs);

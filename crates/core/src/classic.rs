@@ -6,7 +6,7 @@
 //! method (the occupancy method) is needed. This sweep reproduces those
 //! curves.
 
-use crate::parallel::parallel_map;
+use crate::parallel::{effective_threads, WorkerPool};
 use crate::{SweepGrid, TargetSpec};
 use saturn_graphseries::{snapshot_means, SnapshotMeans};
 use saturn_linkstream::LinkStream;
@@ -39,7 +39,8 @@ pub fn classic_sweep(
     let target_set = targets.build(stream.node_count() as u32);
     let view = EventView::new(stream);
     let ks = grid.k_values(stream, delta_min);
-    let mut points = parallel_map(&ks, threads, |&k| {
+    let mut pool = WorkerPool::new(effective_threads(threads, ks.len()));
+    let mut points = pool.map(&ks, |_wid, &k| {
         let timeline = Timeline::aggregated_from_view(&view, k);
         ClassicPoint {
             k,

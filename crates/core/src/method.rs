@@ -1,7 +1,7 @@
 //! The occupancy method driver (Section 4 of the paper).
 
 use crate::control::{SweepControl, TileSpan};
-use crate::parallel::{auto_tile_cols, merge_sources, sweep_queue, WorkerPool};
+use crate::parallel::{auto_tile_cols, sweep_queue, WorkerPool};
 use crate::report::OccupancyReport;
 use crate::SweepGrid;
 use rustc_hash::FxHashMap;
@@ -59,74 +59,49 @@ pub enum KeepPolicy {
     All,
 }
 
-/// Telemetry of the latest [`OccupancyMethod::try_refresh_on`] call:
-/// how much of the sweep the session cache absorbed. Never feeds report
-/// bytes or fingerprints — observability only.
+/// Telemetry of the latest successful [`OccupancyMethod::try_refresh_on`]
+/// call: how much of the sweep the session cache absorbed. Never feeds
+/// report bytes or fingerprints — observability only.
 #[derive(Clone, Copy, Debug, Default, Serialize)]
 pub struct RefreshStats {
-    /// Scales the refresh was asked to analyze.
+    /// Scales the refresh analyzed.
     pub scales_total: u64,
-    /// Scales whose cached histogram was served without any DP work
-    /// (planned timeline field-for-field equal to the cached one).
+    /// Scales whose cached histogram was served without any DP work,
+    /// because the append was absorbed at that scale.
     pub scales_reused: u64,
-    /// Scales recomputed on a suffix-spliced timeline
-    /// (`Timeline::spliced_from_view`).
-    pub scales_respliced: u64,
-    /// Scales recomputed on a scratch- or merge-built timeline
-    /// (cache miss, or a dirty mark reaching window 0).
-    pub scales_scratch: u64,
     /// `(scale, tile)` work items skipped by histogram reuse, under the
     /// full sweep's tile layout.
     pub tiles_skipped: u64,
-    /// Windows re-scattered by splices, summed over respliced scales.
-    pub suffix_windows_rebuilt: u64,
-}
-
-/// One cached scale of a [`SweepCache`]: the timeline the histogram was
-/// computed from (the reuse witness) and the merged histogram itself.
-#[derive(Clone, Debug)]
-struct CachedScale {
-    timeline: Arc<Timeline>,
-    hist: OccupancyHistogram,
-    epoch: u64,
 }
 
 /// Per-session sweep memory for [`OccupancyMethod::try_refresh_on`]: the
-/// per-scale timelines and merged histograms of the last refresh, keyed by
+/// event view of the last successful refresh and its merged histogram per
 /// window count `K`. An ingest session owns one cache per stream and feeds
-/// every incremental re-analysis through it; the cache never changes report
-/// bytes — it only decides how much work a refresh can skip.
+/// every re-analysis through it; the cache never changes report bytes — it
+/// only decides how much work a refresh can skip.
 ///
-/// Entries are epoch-stamped: every refresh bumps the epoch, touches the
-/// entries of the scales it analyzed, and on success prunes the rest (a
-/// scale that left the grid would otherwise pin its timeline + histogram
-/// forever). A refresh cancelled mid-way may leave the entries of its
-/// completed rounds behind (a refine round updates the cache before the
-/// next round runs); that is safe because an entry always pairs a timeline
-/// with the histogram computed from exactly that timeline, and because the
-/// caller keeps its dirty mark until a refresh *succeeds* — the mark then
-/// still covers every event appended since the last successful refresh, so
-/// the next splice stays conservative (and conservative splices are always
-/// correct; see the timeline module's "Splice invariants").
+/// A refresh reuses the histogram of scale `K` if and only if the new
+/// stream's view extends the cached one by an append that is absorbed at
+/// `K`: every appended event lands in a `(pair, window)` cell an old event
+/// already occupies, so the timeline of `K`, and with it the histogram, is
+/// unchanged (the timeline module's "Absorbed appends"). Any other stream —
+/// another node count, directedness or study period, or a stale snapshot
+/// missing cached events — reuses nothing, as does another target spec.
 ///
-/// The cache also remembers the identity (content digest + event count) of
-/// the newest stream a refresh ran against. [`OccupancyMethod::try_refresh_on`]
-/// uses it to reject snapshots that cannot be append-consistent with the
-/// cached state — e.g. a stale snapshot racing a newer refresh of the same
-/// session — by falling back to a scratch sweep instead of reusing entries
-/// built from events the snapshot does not contain.
+/// A refresh builds its view and histograms on the side and swaps them in
+/// only when the whole sweep succeeds, refinement rounds included. A
+/// cancelled refresh therefore leaves the cache exactly as it was, and
+/// scales that left the grid are dropped on the next success.
 #[derive(Clone, Debug, Default)]
 pub struct SweepCache {
-    /// Target spec the cached histograms were computed under; a change
-    /// invalidates everything (histograms are per-target-set).
+    /// Target spec the cached histograms were computed under; histograms
+    /// are per-target-set.
     targets: Option<TargetSpec>,
-    scales: FxHashMap<u64, CachedScale>,
-    epoch: u64,
-    /// `(stream_digest, event count)` of the newest stream a refresh ran
-    /// against — stamped *before* sweeping, so even after a cancellation it
-    /// upper-bounds the events any surviving entry may contain.
-    stamp: Option<(u128, u64)>,
-    /// Telemetry of the latest refresh (reset at the start of each).
+    /// The event view of the last successful refresh.
+    view: Option<EventView>,
+    /// Merged histogram per window count `K`.
+    hists: FxHashMap<u64, OccupancyHistogram>,
+    /// Telemetry of the latest successful refresh.
     pub stats: RefreshStats,
 }
 
@@ -138,12 +113,12 @@ impl SweepCache {
 
     /// Number of cached scales.
     pub fn len(&self) -> usize {
-        self.scales.len()
+        self.hists.len()
     }
 
     /// Whether the cache holds no scale.
     pub fn is_empty(&self) -> bool {
-        self.scales.is_empty()
+        self.hists.is_empty()
     }
 }
 
@@ -235,7 +210,6 @@ pub struct OccupancyMethod {
     refine_points: usize,
     tile: usize,
     no_delta: bool,
-    no_incremental: bool,
 }
 
 impl Default for OccupancyMethod {
@@ -251,7 +225,6 @@ impl Default for OccupancyMethod {
             refine_points: 8,
             tile: 0,
             no_delta: false,
-            no_incremental: false,
         }
     }
 }
@@ -329,20 +302,6 @@ impl OccupancyMethod {
         self
     }
 
-    /// Disables incremental timeline construction: every scale's timeline is
-    /// built from scratch off the shared event view instead of merging
-    /// adjacent windows of an already-built divisor-compatible finer scale
-    /// (`Timeline::aggregated_by_merge`; see the timeline module's "Merge
-    /// invariants"). Merged timelines are field-for-field identical to
-    /// scratch ones, so — exactly like [`tile`](Self::tile) and
-    /// [`no_delta_propagation`](Self::no_delta_propagation) — this is a
-    /// pure execution knob for ablation benchmarking and never enters
-    /// content fingerprints.
-    pub fn no_incremental_timeline(mut self, no_incremental: bool) -> Self {
-        self.no_incremental = no_incremental;
-        self
-    }
-
     /// Scores one scale's merged histogram.
     fn delta_result(&self, span: i64, k: u64, hist: &OccupancyHistogram) -> DeltaResult {
         let dist = WeightedDist::from_pairs(hist.sorted_rates());
@@ -358,29 +317,27 @@ impl OccupancyMethod {
         }
     }
 
-    /// Analyzes `ks` scales on `pool`: builds the `(scale, tile)` queue
-    /// (finest scales first), fans it across the workers, and merges the
-    /// per-tile histograms of each scale in ascending tile order — so the
-    /// resulting [`DeltaResult`]s are bit-identical for every thread count
-    /// and tile width.
+    /// Target-tile width for a sweep of `scales` scales over `ncols`
+    /// columns on `parallelism` workers.
+    fn tile_cols(&self, ncols: usize, scales: usize, parallelism: usize) -> usize {
+        if self.tile == 0 {
+            auto_tile_cols(ncols, scales, parallelism)
+        } else {
+            self.tile.max(1)
+        }
+    }
+
+    /// Analyzes `ks` scales on `pool` and returns each scale's merged
+    /// histogram: builds the `(scale, tile)` queue (finest scales first),
+    /// fans it across the workers, and merges the per-tile histograms of
+    /// each scale in ascending tile order — so the histograms are
+    /// bit-identical for every thread count and tile width.
     ///
-    /// Timelines are built **incrementally** where scales allow it: the
-    /// merge plan ([`merge_sources`]) pairs each scale with the nearest
-    /// finer scale whose window count it divides, and that scale's timeline
-    /// is then derived by adjacent-window merging
-    /// (`Timeline::aggregated_by_merge` — field-for-field identical to a
-    /// scratch build, so reports and cache fingerprints are untouched)
-    /// instead of re-scattering the full event view. Each scale owns one
-    /// lazily built `Arc<Timeline>` slot shared by its tiles *and* its
-    /// merge dependents; the slot's refcount (`tiles + dependents`) releases
-    /// the handle as soon as the last consumer is done, so — exactly as in
-    /// the per-scale layout — only the scales currently in flight (plus
-    /// pending merge sources) hold timelines. Chained builds follow the
-    /// queue's finest-first order: a merge source always precedes its
-    /// dependents, and the slot mutexes are only ever taken in descending
-    /// scale order (coarser scales wait on finer ones), so the lazy
-    /// cross-scale builds cannot deadlock. `no_incremental` empties the
-    /// plan, restoring per-scale scratch builds for ablation.
+    /// Every scale's timeline is built from scratch off the shared event
+    /// view by the first of its tiles to run. The scale's tiles share it
+    /// through one lazily filled `Arc<Timeline>` slot, and the tile that
+    /// completes the scale clears the slot, so only the scales in flight
+    /// hold a timeline.
     ///
     /// Cancellation (`ctl.cancel`): workers poll the token before each queue
     /// item — an already-fired token turns the remaining items into no-ops —
@@ -388,29 +345,6 @@ impl OccupancyMethod {
     /// fired token makes this return [`Cancelled`] and every partial
     /// histogram is dropped. Progress (`ctl.progress`) advances by one when
     /// a scale's last tile completes.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one sweep
-    fn sweep_scales(
-        &self,
-        pool: &mut WorkerPool,
-        arenas: &[Mutex<EngineArena>],
-        view: &EventView,
-        span: i64,
-        targets: &TargetSet,
-        ks: &[u64],
-        ctl: &SweepControl,
-    ) -> Result<Vec<DeltaResult>, Cancelled> {
-        let hists = self.sweep_histograms(pool, arenas, view, targets, ks, ctl, &[])?;
-        Ok(ks.iter().zip(&hists).map(|(&k, hist)| self.delta_result(span, k, hist)).collect())
-    }
-
-    /// The fan-out core of [`sweep_scales`](Self::sweep_scales), returning
-    /// each scale's merged histogram instead of scored results — the refresh
-    /// path ([`try_refresh_on`](Self::try_refresh_on)) stores these in its
-    /// session cache. `prebuilt` optionally seeds per-scale timelines
-    /// (empty = build every scale lazily): a seeded scale skips the lazy
-    /// build entirely and is excluded from the merge plan, so spliced
-    /// timelines flow in without disturbing the merge-chain machinery.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one sweep
     fn sweep_histograms(
         &self,
         pool: &mut WorkerPool,
@@ -419,101 +353,17 @@ impl OccupancyMethod {
         targets: &TargetSet,
         ks: &[u64],
         ctl: &SweepControl,
-        prebuilt: &[Option<Arc<Timeline>>],
     ) -> Result<Vec<OccupancyHistogram>, Cancelled> {
-        let ncols = targets.len();
-        let tile_cols = if self.tile == 0 {
-            auto_tile_cols(ncols, ks.len(), pool.parallelism())
-        } else {
-            self.tile.max(1)
-        };
+        let tile_cols = self.tile_cols(targets.len(), ks.len(), pool.parallelism());
         let items = sweep_queue(ks, &targets.tile_ranges(tile_cols));
         let tiles_in_scale = items.first().map_or(1, |item| item.tiles_in_scale);
+        let dp_options =
+            DpOptions { no_delta_propagation: self.no_delta, ..Default::default() };
 
-        // one options value threads every execution knob end to end: the
-        // engines consume the delta flag, this scheduler consumes the
-        // incremental-timeline flag (an empty merge plan = scratch builds)
-        let dp_options = DpOptions {
-            no_delta_propagation: self.no_delta,
-            no_incremental_timeline: self.no_incremental,
-            ..Default::default()
-        };
-        let mut sources: Vec<Option<usize>> = if dp_options.no_incremental_timeline {
-            vec![None; ks.len()]
-        } else {
-            merge_sources(ks)
-        };
-        // a seeded scale never builds, so it must not count as a merge
-        // dependent of its planned source (the release bookkeeping would
-        // otherwise never reach zero there)
-        for (i, source) in sources.iter_mut().enumerate() {
-            if prebuilt.get(i).is_some_and(Option::is_some) {
-                *source = None;
-            }
-        }
-        let mut dependents = vec![0usize; ks.len()];
-        for &j in sources.iter().flatten() {
-            dependents[j] += 1;
-        }
-
-        struct SharedScale {
-            timeline: Mutex<Option<Arc<Timeline>>>,
-            /// Consumers (tiles + merge dependents) not yet finished; the
-            /// decrement to 0 clears `timeline`.
-            remaining: AtomicUsize,
-        }
-        let shared: Vec<SharedScale> = dependents
-            .iter()
-            .enumerate()
-            .map(|(i, &deps)| SharedScale {
-                timeline: Mutex::new(prebuilt.get(i).cloned().flatten()),
-                remaining: AtomicUsize::new(tiles_in_scale + deps),
-            })
-            .collect();
-
-        /// Drops one consumer reference to scale `i`'s shared timeline,
-        /// clearing the slot on the last one so the allocation frees as
-        /// soon as the final in-flight clone drops, instead of living
-        /// until the sweep returns.
-        fn release(shared: &[SharedScale], i: usize) {
-            if shared[i].remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                *shared[i].timeline.lock().expect("timeline slot poisoned") = None;
-            }
-        }
-
-        /// Scale `i`'s timeline, building it on first demand — by merging
-        /// down from its planned source scale (recursing at most the chain
-        /// length, always toward smaller indices) or from scratch off the
-        /// shared view. Holding slot `i`'s lock across the build makes
-        /// concurrent requesters wait for the one build instead of
-        /// duplicating it.
-        fn obtain(
-            shared: &[SharedScale],
-            sources: &[Option<usize>],
-            ks: &[u64],
-            view: &EventView,
-            i: usize,
-        ) -> Arc<Timeline> {
-            let mut slot = shared[i].timeline.lock().expect("timeline slot poisoned");
-            if let Some(timeline) = slot.as_ref() {
-                return Arc::clone(timeline);
-            }
-            let built = Arc::new(match sources[i] {
-                Some(j) => {
-                    let fine = obtain(shared, sources, ks, view, j);
-                    let merged = fine.aggregated_by_merge(ks[i]);
-                    drop(fine);
-                    release(shared, j);
-                    merged
-                }
-                None => Timeline::aggregated_from_view(view, ks[i]),
-            });
-            *slot = Some(Arc::clone(&built));
-            built
-        }
-
+        let timelines: Vec<Mutex<Option<Arc<Timeline>>>> =
+            (0..ks.len()).map(|_| Mutex::new(None)).collect();
         // One countdown per scale; the worker that completes a scale's last
-        // tile advances the coarse progress counter.
+        // tile frees its timeline and advances the coarse progress counter.
         let tiles_left: Vec<AtomicUsize> =
             (0..ks.len()).map(|_| AtomicUsize::new(tiles_in_scale)).collect();
 
@@ -524,7 +374,16 @@ impl OccupancyMethod {
                 return OccupancyHistogram::new();
             }
             let mut arena = arenas[wid].lock().expect("arena poisoned");
-            let timeline = obtain(&shared, &sources, ks, view, item.scale);
+            // holding the slot lock across the build makes the scale's other
+            // tiles wait for the one build instead of duplicating it
+            let timeline = Arc::clone(
+                timelines[item.scale]
+                    .lock()
+                    .expect("timeline slot poisoned")
+                    .get_or_insert_with(|| {
+                        Arc::new(Timeline::aggregated_from_view(view, ks[item.scale]))
+                    }),
+            );
             let started = Instant::now();
             let (hist, stats) = occupancy_histogram_tile_stats_in(
                 &mut arena,
@@ -537,7 +396,6 @@ impl OccupancyMethod {
             );
             let seconds = started.elapsed().as_secs_f64();
             drop(timeline);
-            release(&shared, item.scale);
             // A token fired mid-DP leaves `hist` partial; the guard keeps a
             // partial tile from counting its scale as done (and its garbage
             // stats from reaching the observer).
@@ -545,6 +403,7 @@ impl OccupancyMethod {
                 let last_tile_of_scale =
                     tiles_left[item.scale].fetch_sub(1, Ordering::AcqRel) == 1;
                 if last_tile_of_scale {
+                    *timelines[item.scale].lock().expect("timeline slot poisoned") = None;
                     ctl.progress.add_done(1);
                 }
                 if let Some(observer) = &ctl.observer {
@@ -614,14 +473,61 @@ impl OccupancyMethod {
     /// the sweep runs. With a never-fired token the report is bit-identical
     /// to [`run_on`](OccupancyMethod::run_on) — cancellation is an execution
     /// knob and never enters report bytes or cache fingerprints.
+    ///
+    /// A scratch analysis is a refresh through an empty [`SweepCache`].
     pub fn try_run_on(
         &self,
         stream: &LinkStream,
         pool: &mut WorkerPool,
         ctl: &SweepControl,
     ) -> Result<OccupancyReport, Cancelled> {
-        let targets = self.targets.build(stream.node_count() as u32);
+        self.analyze(stream, pool, ctl, &mut SweepCache::new())
+    }
+
+    /// [`try_run_on`](Self::try_run_on) through a per-session [`SweepCache`]:
+    /// the incremental re-analysis primitive of ingest sessions. Scales the
+    /// cache can serve (see [`SweepCache`] for the exact rule) skip the DP;
+    /// every other scale is computed as in a cold sweep. Refinement rounds
+    /// run through the cache too, so the refined scales of consecutive
+    /// refreshes reuse each other.
+    ///
+    /// Reports are **byte-identical** to a scratch [`try_run_on`] over the
+    /// same stream — the cache is pure execution state. On success the
+    /// cache holds exactly this refresh's view and scales, and
+    /// `cache.stats` describes the work split; a cancelled refresh leaves
+    /// the cache untouched.
+    ///
+    /// [`try_run_on`]: Self::try_run_on
+    pub fn try_refresh_on(
+        &self,
+        stream: &LinkStream,
+        pool: &mut WorkerPool,
+        ctl: &SweepControl,
+        cache: &mut SweepCache,
+    ) -> Result<OccupancyReport, Cancelled> {
+        self.analyze(stream, pool, ctl, cache)
+    }
+
+    /// The sweep engine: grid, coarse sweep, refinement rounds, report,
+    /// reusing the histograms `cache` can serve and committing this run's
+    /// view and histograms to it on success.
+    fn analyze(
+        &self,
+        stream: &LinkStream,
+        pool: &mut WorkerPool,
+        ctl: &SweepControl,
+        cache: &mut SweepCache,
+    ) -> Result<OccupancyReport, Cancelled> {
         let view = EventView::new(stream);
+        let append = match &cache.view {
+            Some(old) if cache.targets == Some(self.targets) => view.append_since(old),
+            _ => None,
+        };
+        let cached = |k: u64| {
+            let hist = cache.hists.get(&k)?;
+            append.as_ref()?.is_absorbed(k).then_some(hist)
+        };
+        let targets = self.targets.build(stream.node_count() as u32);
         let span = stream.span();
         let mut ks = self.grid.k_values(stream, self.delta_min);
         ctl.progress.set_total(ks.len() as u64);
@@ -630,10 +536,36 @@ impl OccupancyMethod {
         // the mutexes are uncontended — they exist to satisfy `Sync`.
         let arenas: Vec<Mutex<EngineArena>> =
             (0..pool.parallelism()).map(|_| Mutex::new(EngineArena::new())).collect();
+        let mut stats = RefreshStats::default();
+        // every analyzed scale with its fresh histogram (`None` = reused)
+        let mut swept: Vec<(u64, Option<OccupancyHistogram>)> = Vec::new();
 
-        let mut results: Vec<DeltaResult> =
-            self.sweep_scales(pool, &arenas, &view, span, &targets, &ks, ctl)?;
+        // One round: serve cached scales, sweep the rest, score them all.
+        let mut sweep_round = |round: &[u64]| -> Result<Vec<DeltaResult>, Cancelled> {
+            let reuse: Vec<bool> = round.iter().map(|&k| cached(k).is_some()).collect();
+            let compute: Vec<u64> =
+                round.iter().zip(&reuse).filter(|&(_, &r)| !r).map(|(&k, _)| k).collect();
+            let reused = (round.len() - compute.len()) as u64;
+            let tile_cols = self.tile_cols(targets.len(), round.len(), pool.parallelism());
+            stats.scales_total += round.len() as u64;
+            stats.scales_reused += reused;
+            stats.tiles_skipped += reused * targets.tile_ranges(tile_cols).len() as u64;
+            ctl.progress.add_done(reused);
+            let mut fresh = self
+                .sweep_histograms(pool, &arenas, &view, &targets, &compute, ctl)?
+                .into_iter();
+            let mut results = Vec::with_capacity(round.len());
+            for (&k, &reused) in round.iter().zip(&reuse) {
+                let hist = if reused { None } else { fresh.next() };
+                let scored =
+                    hist.as_ref().or_else(|| cached(k)).expect("one histogram per scale");
+                results.push(self.delta_result(span, k, scored));
+                swept.push((k, hist));
+            }
+            Ok(results)
+        };
 
+        let mut results = sweep_round(&ks)?;
         for _ in 0..self.refine_rounds {
             // current argmax under the selection metric
             let Some(best_pos) = argmax(&results, self.metric) else { break };
@@ -656,249 +588,25 @@ impl OccupancyMethod {
                 break;
             }
             ctl.progress.add_total(extra.len() as u64);
-            let new_results: Vec<DeltaResult> =
-                self.sweep_scales(pool, &arenas, &view, span, &targets, &extra, ctl)?;
-            results.extend(new_results);
+            results.extend(sweep_round(&extra)?);
             ks.extend(extra);
             ks.sort_unstable_by(|a, b| b.cmp(a));
         }
-
         // Δ ascending (K descending)
         results.sort_unstable_by_key(|r| std::cmp::Reverse(r.k));
+
+        // commit: only a complete run replaces the cache's contents
+        let mut old = std::mem::take(&mut cache.hists);
+        cache.hists = swept
+            .into_iter()
+            .map(|(k, hist)| {
+                (k, hist.unwrap_or_else(|| old.remove(&k).expect("reused scales are cached")))
+            })
+            .collect();
+        cache.view = Some(view);
+        cache.targets = Some(self.targets);
+        cache.stats = stats;
         Ok(OccupancyReport::new(self.metric, results))
-    }
-
-    /// [`try_run_on`](Self::try_run_on) through a per-session [`SweepCache`]:
-    /// the incremental re-analysis primitive of ingest sessions.
-    ///
-    /// `dirty_from` is the earliest timestamp appended to `stream` since the
-    /// cache's last *successful* refresh (`None` = nothing appended). Each
-    /// grid scale then takes the cheapest sound path:
-    ///
-    /// * cache hit, nothing appended — the cached timeline is the current
-    ///   one; its histogram is served with zero DP work;
-    /// * cache hit, dirty mark — the cached timeline is suffix-spliced from
-    ///   the dirty window on (`Timeline::spliced_from_view`); if the splice
-    ///   comes back field-for-field identical (appends deduplicated away at
-    ///   this scale), the cached histogram is served, otherwise the scale is
-    ///   recomputed on the spliced timeline;
-    /// * cache miss — scratch or merge build, exactly as a cold sweep.
-    ///
-    /// Reports are **byte-identical** to a scratch [`try_run_on`] over the
-    /// same stream — the cache and the dirty mark are pure execution state
-    /// (the service hard-asserts this in its differential tests and the
-    /// bench). Refinement rounds run through the cache too, so the refined
-    /// scales of consecutive refreshes reuse each other. On success the
-    /// cache holds exactly the scales of this refresh and `cache.stats`
-    /// describes the work split. A cancelled refresh may leave the entries
-    /// of its completed rounds in the cache — safe, because every entry
-    /// pairs a timeline with the histogram computed from it — but the
-    /// caller must keep its dirty mark until a refresh *succeeds*, so the
-    /// mark always covers every event appended since the last successful
-    /// refresh and the next splice stays conservative.
-    ///
-    /// A conservative (too early) `dirty_from` is always correct — it only
-    /// shrinks the reusable prefix. Callers must pass a pinned-period
-    /// stream: the study period may not move between refreshes feeding one
-    /// cache (ingest sessions pin it at creation).
-    ///
-    /// The cache is stamped with the identity of the newest stream a
-    /// refresh ran against. If `stream` cannot be an append-only extension
-    /// consistent with that stamp and `dirty_from` — same event count but
-    /// different digest, *fewer* events (a stale snapshot that raced a
-    /// newer refresh of the same cache), or a changed digest with no dirty
-    /// mark — the entries are discarded and every scale is computed from
-    /// scratch: reusing them could serve histograms containing events this
-    /// stream does not have. The report stays correct either way; only the
-    /// amount of reuse changes.
-    pub fn try_refresh_on(
-        &self,
-        stream: &LinkStream,
-        pool: &mut WorkerPool,
-        ctl: &SweepControl,
-        cache: &mut SweepCache,
-        dirty_from: Option<i64>,
-    ) -> Result<OccupancyReport, Cancelled> {
-        if cache.targets != Some(self.targets) {
-            // histograms are per-target-set; a changed spec voids them all
-            cache.scales.clear();
-            cache.targets = Some(self.targets);
-        }
-        let identity =
-            (crate::fingerprint::stream_digest(stream), stream.events().len() as u64);
-        if let Some((digest, events)) = cache.stamp {
-            // the stream must be append-consistent with the cached state:
-            // unchanged, or strictly grown with a dirty mark covering the
-            // growth. Anything else (a stale snapshot racing a newer
-            // refresh, a rewritten stream, a claimed-clean change) would
-            // let reuse serve bytes for a different stream.
-            let consistent =
-                identity.0 == digest || (dirty_from.is_some() && identity.1 > events);
-            if !consistent {
-                cache.scales.clear();
-            }
-        }
-        // re-stamp *before* sweeping: entries this refresh touches are
-        // built from `stream`, and a cancellation can leave them behind —
-        // the stamp must stay an upper bound on what the entries may
-        // contain, or a stale snapshot matching the old stamp could reuse
-        // newer entries
-        cache.stamp = Some(identity);
-        cache.epoch += 1;
-        cache.stats = RefreshStats::default();
-
-        let targets = self.targets.build(stream.node_count() as u32);
-        let view = EventView::new(stream);
-        let span = stream.span();
-        let mut ks = self.grid.k_values(stream, self.delta_min);
-        ctl.progress.set_total(ks.len() as u64);
-
-        let arenas: Vec<Mutex<EngineArena>> =
-            (0..pool.parallelism()).map(|_| Mutex::new(EngineArena::new())).collect();
-
-        let mut results = self.refresh_scales(
-            stream, pool, &arenas, &view, span, &targets, &ks, ctl, cache, dirty_from,
-        )?;
-
-        for _ in 0..self.refine_rounds {
-            let Some(best_pos) = argmax(&results, self.metric) else { break };
-            let best_k = results[best_pos].k;
-            let pos = ks.binary_search_by(|a| best_k.cmp(a)).unwrap_or_else(|p| p);
-            let k_above = if pos > 0 { ks[pos - 1] } else { best_k };
-            let k_below = ks.get(pos + 1).copied().unwrap_or(best_k);
-            let mut extra = Vec::new();
-            if best_k < k_above {
-                extra.extend(SweepGrid::refine_between(best_k, k_above, self.refine_points));
-            }
-            if k_below < best_k {
-                extra.extend(SweepGrid::refine_between(k_below, best_k, self.refine_points));
-            }
-            extra.retain(|k| !ks.contains(k));
-            extra.sort_unstable_by(|a, b| b.cmp(a));
-            extra.dedup();
-            if extra.is_empty() {
-                break;
-            }
-            ctl.progress.add_total(extra.len() as u64);
-            let new_results = self.refresh_scales(
-                stream, pool, &arenas, &view, span, &targets, &extra, ctl, cache, dirty_from,
-            )?;
-            results.extend(new_results);
-            ks.extend(extra);
-            ks.sort_unstable_by(|a, b| b.cmp(a));
-        }
-
-        results.sort_unstable_by_key(|r| std::cmp::Reverse(r.k));
-        // scales that left the grid since the last refresh would otherwise
-        // pin their timeline + histogram forever
-        let epoch = cache.epoch;
-        cache.scales.retain(|_, entry| entry.epoch == epoch);
-        Ok(OccupancyReport::new(self.metric, results))
-    }
-
-    /// One cache-aware sweep over `ks` (sorted descending): plans every
-    /// scale's timeline eagerly (reuse / splice / merge / scratch), serves
-    /// field-identical cache hits from their stored histograms, fans the
-    /// rest out through [`sweep_histograms`](Self::sweep_histograms) with
-    /// the planned timelines pre-seeded, and folds the results back into
-    /// the cache.
-    #[allow(clippy::too_many_arguments)] // internal plumbing of one refresh
-    fn refresh_scales(
-        &self,
-        stream: &LinkStream,
-        pool: &mut WorkerPool,
-        arenas: &[Mutex<EngineArena>],
-        view: &EventView,
-        span: i64,
-        targets: &TargetSet,
-        ks: &[u64],
-        ctl: &SweepControl,
-        cache: &mut SweepCache,
-        dirty_from: Option<i64>,
-    ) -> Result<Vec<DeltaResult>, Cancelled> {
-        cache.stats.scales_total += ks.len() as u64;
-        // the full sweep's tile layout, for the skip accounting
-        let ncols = targets.len();
-        let tile_cols = if self.tile == 0 {
-            auto_tile_cols(ncols, ks.len(), pool.parallelism())
-        } else {
-            self.tile.max(1)
-        };
-        let tiles_per_scale = targets.tile_ranges(tile_cols).len();
-
-        // Plan finest-first so merge sources precede their dependents
-        // (`merge_sources` points each scale at an earlier index).
-        let sources: Vec<Option<usize>> =
-            if self.no_incremental { vec![None; ks.len()] } else { merge_sources(ks) };
-        let mut planned: Vec<Arc<Timeline>> = Vec::with_capacity(ks.len());
-        let mut reused: Vec<bool> = Vec::with_capacity(ks.len());
-        for (i, &k) in ks.iter().enumerate() {
-            let cached = cache.scales.get(&k);
-            let mut spliced = false;
-            let timeline = match (cached, dirty_from) {
-                (Some(entry), None) => Arc::clone(&entry.timeline),
-                (Some(entry), Some(t0)) => {
-                    let w = stream
-                        .partition(k)
-                        .expect("grid window counts are valid for the stream")
-                        .index(saturn_linkstream::Time::new(t0))
-                        as u32;
-                    spliced = w > 0;
-                    if spliced {
-                        cache.stats.suffix_windows_rebuilt += k - w as u64;
-                    }
-                    Arc::new(entry.timeline.spliced_from_view(view, w))
-                }
-                (None, _) => Arc::new(match sources[i] {
-                    Some(j) => planned[j].aggregated_by_merge(k),
-                    None => Timeline::aggregated_from_view(view, k),
-                }),
-            };
-            // deep-equality reuse gate: a planned timeline field-for-field
-            // equal to the cached one means the cached histogram is still
-            // exact (appends deduplicated away at this scale)
-            let reuse = cached.is_some_and(|entry| {
-                Arc::ptr_eq(&entry.timeline, &timeline) || *entry.timeline == *timeline
-            });
-            if reuse {
-                cache.stats.scales_reused += 1;
-                cache.stats.tiles_skipped += tiles_per_scale as u64;
-            } else if spliced {
-                cache.stats.scales_respliced += 1;
-            } else {
-                cache.stats.scales_scratch += 1;
-            }
-            reused.push(reuse);
-            planned.push(timeline);
-        }
-
-        // reused scales complete instantly; the rest fan out pre-seeded
-        let compute: Vec<usize> = (0..ks.len()).filter(|&i| !reused[i]).collect();
-        ctl.progress.add_done((ks.len() - compute.len()) as u64);
-        let hists = if compute.is_empty() {
-            Vec::new()
-        } else {
-            let compute_ks: Vec<u64> = compute.iter().map(|&i| ks[i]).collect();
-            let seeds: Vec<Option<Arc<Timeline>>> =
-                compute.iter().map(|&i| Some(Arc::clone(&planned[i]))).collect();
-            self.sweep_histograms(pool, arenas, view, targets, &compute_ks, ctl, &seeds)?
-        };
-
-        let mut hists = hists.into_iter();
-        let mut results = Vec::with_capacity(ks.len());
-        for (i, &k) in ks.iter().enumerate() {
-            if reused[i] {
-                let entry = cache.scales.get_mut(&k).expect("reused scales are cached");
-                entry.epoch = cache.epoch;
-                results.push(self.delta_result(span, k, &entry.hist));
-            } else {
-                let hist = hists.next().expect("one histogram per computed scale");
-                results.push(self.delta_result(span, k, &hist));
-                let timeline = Arc::clone(&planned[i]);
-                cache.scales.insert(k, CachedScale { timeline, hist, epoch: cache.epoch });
-            }
-        }
-        Ok(results)
     }
 }
 
@@ -1076,42 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_timeline_is_bit_identical() {
-        let s = ring_stream(9, 120, 5);
-        // divisor ladder: every scale merges from its neighbor, the
-        // configuration where the incremental path does the most work
-        let ladder = vec![500u64, 250, 50, 10, 5, 1];
-        for threads in [1usize, 3] {
-            let incremental = OccupancyMethod::new()
-                .grid(SweepGrid::ExplicitK(ladder.clone()))
-                .threads(threads)
-                .refine(1, 4)
-                .run(&s)
-                .to_json();
-            let scratch = OccupancyMethod::new()
-                .grid(SweepGrid::ExplicitK(ladder.clone()))
-                .threads(threads)
-                .refine(1, 4)
-                .no_incremental_timeline(true)
-                .run(&s)
-                .to_json();
-            assert_eq!(
-                incremental, scratch,
-                "incremental timeline construction must not change the report (threads={threads})"
-            );
-        }
-        // and on the default geometric grid, where divisor pairs are rare
-        let a = OccupancyMethod::new().threads(2).refine(1, 4).run(&s).to_json();
-        let b = OccupancyMethod::new()
-            .threads(2)
-            .refine(1, 4)
-            .no_incremental_timeline(true)
-            .run(&s)
-            .to_json();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn single_scale_fans_out_over_tiles() {
         // a one-scale sweep on a multi-worker pool: only tiling can feed it
         let s = ring_stream(24, 120, 7);
@@ -1248,7 +920,7 @@ mod tests {
 
     /// Builds a pinned-period ring stream plus a grown twin with `extra`
     /// appended events landing strictly after the base activity.
-    fn ring_with_appends(extra: usize) -> (LinkStream, LinkStream, i64) {
+    fn ring_with_appends(extra: usize) -> (LinkStream, LinkStream) {
         let mut base = LinkStreamBuilder::indexed(Directedness::Undirected, 8);
         base.period(0, 1200);
         for i in 0..90usize {
@@ -1256,35 +928,32 @@ mod tests {
             base.add_indexed(u, (u + 1) % 8, i as i64 * 10); // t in [0, 890]
         }
         let old = base.clone().build().unwrap();
-        let first_append_t = 900i64;
         let mut grown = base;
         for i in 0..extra {
             let u = (i as u32 * 3) % 8;
-            grown.add_indexed(u, (u + 5) % 8, first_append_t + (i as i64 * 7) % 300);
+            grown.add_indexed(u, (u + 5) % 8, 900 + (i as i64 * 7) % 300);
         }
-        (old, grown.build().unwrap(), first_append_t)
+        (old, grown.build().unwrap())
     }
 
     #[test]
     fn refresh_is_byte_identical_to_scratch_and_reuses_scales() {
-        let (old, new, t0) = ring_with_appends(40);
-        for (no_delta, no_incremental) in [(false, false), (true, true)] {
+        let (old, new) = ring_with_appends(40);
+        for no_delta in [false, true] {
             let method = OccupancyMethod::new()
                 .grid(SweepGrid::Geometric { points: 12 })
                 .refine(1, 4)
-                .no_delta_propagation(no_delta)
-                .no_incremental_timeline(no_incremental);
+                .no_delta_propagation(no_delta);
             let mut pool = WorkerPool::new(2);
             let mut cache = SweepCache::new();
             // cold refresh == scratch run on the base stream
-            let cold =
-                method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None);
+            let cold = method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache);
             assert_eq!(cold.unwrap().to_json(), method.run_on(&old, &mut pool).to_json());
-            assert!(cache.stats.scales_reused == 0 && cache.stats.scales_respliced == 0);
+            assert_eq!(cache.stats.scales_reused, 0);
             assert!(!cache.is_empty());
             // warm refresh after appends == scratch run on the grown stream
             let warm = method
-                .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache, Some(t0))
+                .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache)
                 .unwrap();
             assert_eq!(
                 warm.to_json(),
@@ -1292,14 +961,13 @@ mod tests {
                 "refresh must be byte-identical to scratch (no_delta={no_delta})"
             );
             assert!(
-                cache.stats.scales_respliced > 0,
-                "late appends splice at least the finest scales: {:?}",
+                cache.stats.scales_reused < cache.stats.scales_total,
+                "appends of new pairs recompute: {:?}",
                 cache.stats
             );
-            assert!(cache.stats.suffix_windows_rebuilt > 0);
             // identical re-refresh with no appends: everything reuses
             let again = method
-                .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache, None)
+                .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache)
                 .unwrap();
             assert_eq!(again.to_json(), warm.to_json());
             assert_eq!(
@@ -1307,7 +975,6 @@ mod tests {
                 "{:?}",
                 cache.stats
             );
-            assert_eq!(cache.stats.scales_respliced + cache.stats.scales_scratch, 0);
             assert!(cache.stats.tiles_skipped > 0);
         }
     }
@@ -1326,20 +993,18 @@ mod tests {
         let mut pool = WorkerPool::new(1);
         let mut cache = SweepCache::new();
         let first = b.clone().build().unwrap();
-        let cold = method
-            .try_refresh_on(&first, &mut pool, &SweepControl::new(), &mut cache, None)
-            .unwrap();
+        let cold =
+            method.try_refresh_on(&first, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         assert_eq!(cold.to_json(), method.run_on(&first, &mut pool).to_json());
         let mut t = 200i64;
         for round in 0..3 {
-            let t0 = t;
             for i in 0..15i64 {
                 b.add_indexed((i % 6) as u32, ((i * 5 + 2) % 6) as u32, t);
                 t += 7;
             }
             let grown = b.clone().build().unwrap();
             let refreshed = method
-                .try_refresh_on(&grown, &mut pool, &SweepControl::new(), &mut cache, Some(t0))
+                .try_refresh_on(&grown, &mut pool, &SweepControl::new(), &mut cache)
                 .unwrap();
             assert_eq!(
                 refreshed.to_json(),
@@ -1351,48 +1016,50 @@ mod tests {
 
     #[test]
     fn refresh_invalidates_on_target_change_and_prunes_dropped_scales() {
-        let (old, ..) = ring_with_appends(0);
+        let (old, _) = ring_with_appends(0);
         let mut pool = WorkerPool::new(1);
         let mut cache = SweepCache::new();
         let wide =
             OccupancyMethod::new().grid(SweepGrid::Geometric { points: 12 }).refine(0, 0);
-        wide.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None).unwrap();
+        wide.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         let cached_wide = cache.len();
         assert!(cached_wide > 0);
         // a narrower grid prunes the scales that left it
         let narrow =
             OccupancyMethod::new().grid(SweepGrid::Geometric { points: 5 }).refine(0, 0);
-        narrow.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None).unwrap();
+        narrow.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         assert!(cache.len() < cached_wide, "{} -> {}", cached_wide, cache.len());
         // a different target spec voids the cache: nothing reuses
         let sampled = narrow.targets(TargetSpec::Sample { size: 4, seed: 1 });
-        let report = sampled
-            .try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None)
-            .unwrap();
+        let report =
+            sampled.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         assert_eq!(cache.stats.scales_reused, 0);
         assert_eq!(report.to_json(), sampled.run_on(&old, &mut pool).to_json());
     }
 
     #[test]
     fn cancelled_refresh_leaves_the_cache_untouched() {
-        let (old, new, t0) = ring_with_appends(30);
+        let (old, new) = ring_with_appends(30);
         let method =
-            OccupancyMethod::new().grid(SweepGrid::Geometric { points: 10 }).refine(0, 0);
+            OccupancyMethod::new().grid(SweepGrid::Geometric { points: 10 }).refine(1, 3);
         let mut pool = WorkerPool::new(1);
         let mut cache = SweepCache::new();
-        method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None).unwrap();
-        let before = cache.len();
+        method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache).unwrap();
+        let before = format!("{cache:?}");
         let ctl = SweepControl::new();
         ctl.cancel.cancel();
         assert!(matches!(
-            method.try_refresh_on(&new, &mut pool, &ctl, &mut cache, Some(t0)),
+            method.try_refresh_on(&new, &mut pool, &ctl, &mut cache),
             Err(Cancelled)
         ));
-        assert_eq!(cache.len(), before, "cancelled refresh must not grow the cache");
-        // keeping the dirty mark, the retry is still byte-identical
-        let retry = method
-            .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache, Some(t0))
-            .unwrap();
+        assert_eq!(
+            format!("{cache:?}"),
+            before,
+            "a cancelled refresh must not touch the cache"
+        );
+        // the retry is still byte-identical
+        let retry =
+            method.try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         assert_eq!(retry.to_json(), method.run_on(&new, &mut pool).to_json());
     }
 
@@ -1402,50 +1069,37 @@ mod tests {
         // executes after a refresh of a newer one already advanced the
         // cache (concurrent refreshes of one session can land on different
         // shards and run out of submission order)
-        let (old, new, t0) = ring_with_appends(30);
+        let (old, new) = ring_with_appends(30);
         let method =
             OccupancyMethod::new().grid(SweepGrid::Geometric { points: 10 }).refine(1, 3);
         let mut pool = WorkerPool::new(2);
         let mut cache = SweepCache::new();
-        method.try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache, None).unwrap();
-        // the stale snapshot claims clean (it was cut before the racing
-        // append): reusing the cached timelines would serve the newer
-        // stream's histograms under the older stream's identity
-        let stale = method
-            .try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None)
-            .unwrap();
+        method.try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache).unwrap();
+        // the stale snapshot lacks events the cache was built from: reusing
+        // its histograms would serve the newer stream's bytes
+        let stale =
+            method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         assert_eq!(stale.to_json(), method.run_on(&old, &mut pool).to_json());
-        assert_eq!(cache.stats.scales_reused + cache.stats.scales_respliced, 0);
-        // the fallback re-stamped the cache as the old stream's: an
+        assert_eq!(cache.stats.scales_reused, 0, "{:?}", cache.stats);
+        // the successful fallback committed the old stream's state: an
         // identical follow-up refresh is fully reusable again
-        let again = method
-            .try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None)
-            .unwrap();
+        let again =
+            method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         assert_eq!(again.to_json(), stale.to_json());
         assert_eq!(cache.stats.scales_reused, cache.stats.scales_total, "{:?}", cache.stats);
 
-        // stale snapshot carrying a dirty mark (the racing append landed
-        // below it): splicing would keep a prefix with phantom events or
-        // trip the append-only assert — must scratch instead
-        let mut cache = SweepCache::new();
-        method
-            .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache, Some(t0))
-            .unwrap();
-        let stale = method
-            .try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, Some(t0))
-            .unwrap();
-        assert_eq!(stale.to_json(), method.run_on(&old, &mut pool).to_json());
-        assert_eq!(cache.stats.scales_reused + cache.stats.scales_respliced, 0);
-
-        // a grown stream claiming clean (a caller that lost its dirty
-        // mark) is equally inconsistent: scratch, not reuse
-        let mut cache = SweepCache::new();
-        method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache, None).unwrap();
-        let grown = method
-            .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache, None)
-            .unwrap();
-        assert_eq!(grown.to_json(), method.run_on(&new, &mut pool).to_json());
-        assert_eq!(cache.stats.scales_reused + cache.stats.scales_respliced, 0);
+        // a stream over another study period shares no window boundaries:
+        // nothing reuses, and the bytes are still right
+        let mut b = LinkStreamBuilder::indexed(Directedness::Undirected, 8);
+        b.period(0, 1300);
+        for l in old.events() {
+            b.add_indexed(l.u.raw(), l.v.raw(), l.t);
+        }
+        let moved = b.build().unwrap();
+        let report =
+            method.try_refresh_on(&moved, &mut pool, &SweepControl::new(), &mut cache).unwrap();
+        assert_eq!(report.to_json(), method.run_on(&moved, &mut pool).to_json());
+        assert_eq!(cache.stats.scales_reused, 0, "{:?}", cache.stats);
     }
 
     #[test]

@@ -267,25 +267,6 @@ impl<R> Drop for Slots<R> {
     }
 }
 
-/// Applies `f` to every item with `threads` total parallelism (0 = all
-/// available cores). Results are returned in input order; worker panics
-/// propagate. Single-sweep convenience over a transient [`WorkerPool`];
-/// multi-round callers should hold a pool and call
-/// [`WorkerPool::map`] directly.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let mut pool = WorkerPool::new(threads);
-    pool.map(items, |_wid, item| f(item))
-}
-
 /// One unit of tiled sweep work: a contiguous target-column range of one
 /// aggregation scale. Produced by [`sweep_queue`]; the per-tile histograms
 /// of one scale merge in ascending `tile` order to reproduce the untiled
@@ -324,40 +305,6 @@ pub fn sweep_queue(ks: &[u64], tile_ranges: &[(u32, u32)]) -> Vec<SweepItem> {
     // order
     items.sort_by_key(|item| std::cmp::Reverse(item.k));
     items
-}
-
-/// Largest fine-to-coarse window ratio the sweep will bridge by merging.
-/// Merging is linear in the fine timeline's edges plus, per merged coarse
-/// window, a walk over the touched words of a pair-id bitmap
-/// (`Timeline::aggregated_by_merge` docs); what grows with the ratio is
-/// only how much *finer* the source is than the target needs — at extreme
-/// ratios the fine timeline carries far more pre-dedup edges than the
-/// scratch build would ever scan, so chaining stops paying and the scratch
-/// radix scatter (linear in raw events) wins.
-const MAX_MERGE_RATIO: u64 = 256;
-
-/// The incremental-timeline merge plan for a descending-sorted scale list:
-/// `plan[i] = Some(j)` means scale `i`'s timeline is derived from scale
-/// `j`'s by adjacent-window merging (`Timeline::aggregated_by_merge`), and
-/// `None` means a scratch build from the shared event view.
-///
-/// For each scale the *nearest* preceding (finer) scale whose window count
-/// it divides is chosen — the smallest merge ratio, hence the cheapest
-/// merge — capped at [`MAX_MERGE_RATIO`]. Because [`sweep_queue`] orders
-/// items finest-first and `j < i` always holds, a scale's merge source is
-/// claimed earlier in the queue than the scale itself, so chained builds
-/// run fine-to-coarse along the existing dispatch order; non-divisor
-/// neighbors simply fall back to scratch builds.
-pub fn merge_sources(ks: &[u64]) -> Vec<Option<usize>> {
-    debug_assert!(ks.windows(2).all(|w| w[0] > w[1]), "ks must be sorted descending");
-    ks.iter()
-        .enumerate()
-        .map(|(i, &k)| {
-            ks[..i]
-                .iter()
-                .rposition(|&fine| fine.is_multiple_of(k) && fine / k <= MAX_MERGE_RATIO)
-        })
-        .collect()
 }
 
 /// Picks a tile width for `ncols` target columns swept over `scales` scales
@@ -401,21 +348,23 @@ mod tests {
     #[test]
     fn preserves_input_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, 8, |&x| x * 2);
+        let out = WorkerPool::new(8).map(&items, |_wid, &x| x * 2);
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn single_thread_path() {
         let items = vec![1, 2, 3];
-        let out = parallel_map(&items, 1, |&x| x + 1);
+        let out = WorkerPool::new(1).map(&items, |_wid, &x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
     }
 
     #[test]
     fn zero_means_auto() {
         let items: Vec<u32> = (0..100).collect();
-        let out = parallel_map(&items, 0, |&x| x);
+        let mut pool = WorkerPool::new(0);
+        assert!(pool.parallelism() >= 1);
+        let out = pool.map(&items, |_wid, &x| x);
         assert_eq!(out.len(), 100);
         assert!(effective_threads(0, 100) >= 1);
         assert_eq!(effective_threads(16, 4), 4); // capped by items
@@ -424,7 +373,7 @@ mod tests {
     #[test]
     fn empty_input() {
         let items: Vec<u32> = vec![];
-        let out = parallel_map(&items, 4, |&x| x);
+        let out = WorkerPool::new(4).map(&items, |_wid, &x| x);
         assert!(out.is_empty());
     }
 
@@ -432,7 +381,7 @@ mod tests {
     fn uneven_work_is_balanced() {
         // heavier work for early items; just checks completion & order
         let items: Vec<u64> = (0..64).collect();
-        let out = parallel_map(&items, 8, |&x| {
+        let out = WorkerPool::new(8).map(&items, |_wid, &x| {
             let mut acc = 0u64;
             for i in 0..(64 - x) * 1000 {
                 acc = acc.wrapping_add(i);
@@ -529,31 +478,6 @@ mod tests {
         assert!(1000usize.div_ceil(tile) >= 8, "enough items to feed the pool");
         // tiny column counts stay untiled regardless of width
         assert_eq!(auto_tile_cols(12, 1, 64), 12);
-    }
-
-    #[test]
-    fn merge_sources_prefers_nearest_divisor() {
-        // 100 merges from 1000 (nearest divisor, ratio 10), not 100000;
-        // 640 divides nothing finer; 10 merges from 100; 1 from 10
-        let ks = [100_000u64, 1_000, 640, 100, 10, 1];
-        assert_eq!(merge_sources(&ks), vec![None, Some(0), None, Some(1), Some(3), Some(4)]);
-    }
-
-    #[test]
-    fn merge_sources_respects_ratio_cap() {
-        // 100000 -> 2 divides but the ratio (50000) is past the cap; 7 has
-        // no divisor-related finer scale at all
-        assert_eq!(merge_sources(&[100_000, 7, 2]), vec![None, None, None]);
-        // at exactly the cap the merge is taken
-        assert_eq!(merge_sources(&[512, 2]), vec![None, Some(0)]);
-    }
-
-    #[test]
-    fn merge_sources_chains_along_ladders() {
-        let ks = [1_000u64, 500, 250, 50, 10, 5, 1];
-        let plan = merge_sources(&ks);
-        // every scale after the finest chains from its immediate neighbor
-        assert_eq!(plan, vec![None, Some(0), Some(1), Some(2), Some(3), Some(4), Some(5)]);
     }
 
     #[test]

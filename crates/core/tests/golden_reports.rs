@@ -177,29 +177,18 @@ fn refreshed_append_sequence_matches_its_pins() {
             b.add(&format!("n{u}"), &format!("n{v}"), rng.next(3_001) as i64);
         }
         let mut cache = SweepCache::new();
-        let mut dirty_from = None;
         for batch in 0..4 {
             if batch > 0 {
                 // a fresh label per batch, events anywhere in the period
-                let mut batch_min = i64::MAX;
                 for _ in 0..12 {
                     let u = format!("n{}", rng.next(7 + batch));
                     let v = format!("n{}", rng.next(7 + batch));
-                    let t = rng.next(3_001) as i64;
-                    batch_min = batch_min.min(t);
-                    b.add(&u, &v, t);
+                    b.add(&u, &v, rng.next(3_001) as i64);
                 }
-                dirty_from = Some(batch_min);
             }
             let stream = b.snapshot().unwrap();
             let report = method
-                .try_refresh_on(
-                    &stream,
-                    &mut pool,
-                    &SweepControl::new(),
-                    &mut cache,
-                    dirty_from,
-                )
+                .try_refresh_on(&stream, &mut pool, &SweepControl::new(), &mut cache)
                 .unwrap();
             got.push((format!("append/{tgt}/{batch}"), digest(&report.to_json())));
         }

@@ -1,15 +1,13 @@
-//! Tiling, delta propagation, and incremental timeline construction must
-//! be invisible: an [`OccupancyMethod`] run split into target tiles of any
-//! width, on any thread count, with the DP engine's delta propagation on
-//! or off, with timelines merge-derived or scratch-built, must serialize
-//! to the *same bytes* as the untiled single-threaded run — the property
-//! that keeps the analysis service's content-addressed cache correct while
-//! the executor re-tiles work per hardware (and while ablation scripts
-//! flip `?no_delta=` / `?no_incremental=`). Tile widths 1, 3, `ncols`, and
-//! a proptest-chosen random width are exercised across 1/2/4/8 threads ×
-//! delta on/off, with refinement rounds on (the narrow rounds are where
-//! auto-tiling matters most); the incremental axis runs on explicit
-//! divisor ladders, where every scale actually takes the merge path.
+//! Tiling and delta propagation must be invisible: an [`OccupancyMethod`]
+//! run split into target tiles of any width, on any thread count, with the
+//! DP engine's delta propagation on or off, must serialize to the *same
+//! bytes* as the untiled single-threaded run — the property that keeps the
+//! analysis service's content-addressed cache correct while the executor
+//! re-tiles work per hardware (and while ablation scripts flip
+//! `?no_delta=`). Tile widths 1, 3, `ncols`, and a proptest-chosen random
+//! width are exercised across 1/2/4/8 threads × delta on/off, with
+//! refinement rounds on (the narrow rounds are where auto-tiling matters
+//! most).
 
 use proptest::prelude::*;
 use saturn_core::parallel::WorkerPool;
@@ -131,49 +129,6 @@ proptest! {
             );
             let (done, total) = ctl.progress.snapshot();
             prop_assert_eq!(done, total);
-        }
-    }
-
-    /// The incremental-timeline axis on a random divisor ladder (every
-    /// scale merge-derived from its neighbor): byte-identical to the
-    /// scratch-build run across threads × tiles × delta, shared timelines
-    /// and all.
-    #[test]
-    fn incremental_timelines_are_byte_identical_on_divisor_ladders(
-        n in 5u32..10,
-        events in 40usize..90,
-        gap in 3i64..9,
-        twist in 1u32..64,
-        base in 1u64..5,
-        tile in 1usize..8,
-    ) {
-        let stream = build_stream(n, events, gap, twist);
-        let ladder: Vec<u64> =
-            [base * 240, base * 120, base * 24, base * 8, base * 2, base]
-                .into();
-        let mk = |threads: usize, t: usize, no_delta: bool, no_inc: bool| {
-            OccupancyMethod::new()
-                .grid(SweepGrid::ExplicitK(ladder.clone()))
-                .threads(threads)
-                .refine(1, 3)
-                .tile(t)
-                .no_delta_propagation(no_delta)
-                .no_incremental_timeline(no_inc)
-                .run(&stream)
-                .to_json()
-        };
-        let reference = mk(1, usize::MAX, false, true); // scratch builds
-        for &threads in &[1usize, 4] {
-            for &no_delta in &[false, true] {
-                prop_assert_eq!(
-                    mk(threads, tile, no_delta, false),
-                    reference.clone(),
-                    "threads={} tile={} no_delta={} diverged from scratch",
-                    threads,
-                    tile,
-                    no_delta
-                );
-            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //! cold sweeps onto one process-wide [`WorkerPool`](saturn_core::parallel::WorkerPool).
 //!
 //! ```text
-//! POST /v1/analyze?directed=1&points=48&sample=64&seed=1&tile=0&no_delta=0&no_incremental=0&deadline_ms=0[&async=1]   trace body → occupancy report
+//! POST /v1/analyze?directed=1&points=48&sample=64&seed=1&tile=0&no_delta=0&deadline_ms=0[&async=1]   trace body → occupancy report
 //! POST /v1/validate?points=32&weighted=1&delta_min=1&deadline_ms=0[&async=1]   trace body → loss curves
 //! POST /v1/stats?directed=1                                          trace body → stream statistics
 //! POST /v1/streams?t_begin=A&t_end=B[&directed=1]                    open a streaming ingest session (body may seed events)
@@ -117,9 +117,10 @@
 //! /v1/streams/<id>/analyze` re-analyzes the grown stream *incrementally*:
 //! the session owns a [`SweepCache`](saturn_core::SweepCache) and the
 //! refresh ([`OccupancyMethod::try_refresh_on`](saturn_core::OccupancyMethod::try_refresh_on))
-//! splices only the dirty suffix of each scale's window timeline, reuses
-//! every scale whose timeline is provably unchanged by the appends, and
-//! recomputes the rest — with the hard invariant (held by a CI byte-compare
+//! reuses the histogram of every scale at which the appends are absorbed
+//! (each appended event lands in a `(pair, window)` cell an old event
+//! already occupies, so the scale's timeline is unchanged) and recomputes
+//! the rest from scratch — with the hard invariant (held by a CI byte-compare
 //! and the bench's `streaming` section) that the report is byte-identical
 //! to a scratch `POST /v1/analyze` of the same events. Refresh results
 //! enter the same content-addressed response cache as `/v1/analyze`
@@ -130,9 +131,9 @@
 //! refreshes of one session are ordered by a snapshot watermark on its
 //! sweep state: a refresh outrun by a newer one (possible across executor
 //! shards) recomputes from scratch without touching session state — and
-//! the [`SweepCache`](saturn_core::SweepCache) is itself stamped with the
-//! stream identity it was built from, so the core layer independently
-//! rejects inconsistent snapshots. See [`streams`] for the session table
+//! the [`SweepCache`](saturn_core::SweepCache) reuses nothing for a stream
+//! that is not an append-only extension of the view it was built from, so
+//! the core layer independently rejects inconsistent snapshots. See [`streams`] for the session table
 //! and locking design.
 //!
 //! **Graceful drain.** On `SIGTERM`/`SIGINT`, `saturn serve` flips into
@@ -227,7 +228,6 @@
 //! | `saturn_stream_refreshes_total` | counter | — | incremental re-analyses executed |
 //! | `saturn_stream_scales_reused_total` | counter | — | scales served from the session cache without DP |
 //! | `saturn_stream_tiles_skipped_total` | counter | — | DP tiles skipped by refresh reuse |
-//! | `saturn_stream_suffix_windows_rebuilt_total` | counter | — | timeline windows respliced by refreshes |
 //! | `saturn_stream_stale_refreshes_total` | counter | — | refreshes outrun by a newer refresh of their session, recomputed from scratch |
 //! | `saturn_sweep_tiles_total` | counter | — | `(scale, tile)` DP items completed |
 //! | `saturn_sweep_scales_total` | counter | — | scales fully analyzed |
@@ -412,13 +412,6 @@ pub struct ServerConfig {
     /// bit-identical either way, so it never enters cache fingerprints.
     /// Overridable per request with `?no_delta=1`.
     pub no_delta: bool,
-    /// Disable incremental (adjacent-window merge) timeline construction
-    /// for analyze sweeps. Like `tile` and `no_delta`, an execution knob
-    /// for ablation scripting: merged timelines are field-for-field
-    /// identical to scratch-built ones, so results match byte for byte and
-    /// the knob never enters cache fingerprints. Overridable per request
-    /// with `?no_incremental=1`.
-    pub no_incremental: bool,
     /// Report cache budget in bytes (0 disables the memory tier — no LRU
     /// is allocated).
     pub cache_bytes: usize,
@@ -463,7 +456,6 @@ impl Default for ServerConfig {
             stall_budget: jobs::DEFAULT_STALL_BUDGET,
             tile: 0,
             no_delta: false,
-            no_incremental: false,
             cache_bytes: 64 << 20,
             cache_dir: None,
             cache_disk_bytes: 64 << 20,
@@ -491,7 +483,6 @@ struct ServerContext {
     metrics: Arc<Metrics>,
     tile: usize,
     no_delta: bool,
-    no_incremental: bool,
     max_body_bytes: usize,
     max_connections: usize,
     default_deadline_ms: u64,
@@ -550,7 +541,6 @@ impl Server {
                 metrics: shared_metrics,
                 tile: config.tile,
                 no_delta: config.no_delta,
-                no_incremental: config.no_incremental,
                 max_body_bytes: config.max_body_bytes,
                 max_connections: config.max_connections,
                 default_deadline_ms: config.default_deadline_ms,
@@ -995,17 +985,15 @@ fn param_defaults(ctx: &ServerContext) -> ParamDefaults {
         deadline_ms: ctx.default_deadline_ms,
         tile: ctx.tile,
         no_delta: ctx.no_delta,
-        no_incremental: ctx.no_incremental,
     }
 }
 
 fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
     let p = RequestParams::parse(request, &param_defaults(ctx))?;
     let stream = parse_stream(request)?;
-    // execution knobs only: tiled, delta-filtered, and incrementally built
-    // reports are bit-identical to untiled / unfiltered / scratch-built
-    // ones, so `tile`, `no_delta`, and `no_incremental` stay OUT of the
-    // fingerprint — a request served from an entry computed under different
+    // execution knobs only: tiled and delta-filtered reports are
+    // bit-identical to untiled / unfiltered ones, so `tile` and `no_delta`
+    // stay OUT of the fingerprint — a request served from an entry computed under different
     // execution settings returns the same bytes the cold run would have
     // produced. `deadline_ms` stays out too: a deadline either leaves the
     // result untouched or prevents there being one.
@@ -1020,14 +1008,13 @@ fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
 
     let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
     let targets = p.targets;
-    let (tile, no_delta, no_incremental) = (p.tile, p.no_delta, p.no_incremental);
+    let (tile, no_delta) = (p.tile, p.no_delta);
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
         let method = OccupancyMethod::new()
             .grid(grid)
             .targets(targets)
             .tile(tile)
-            .no_delta_propagation(no_delta)
-            .no_incremental_timeline(no_incremental);
+            .no_delta_propagation(no_delta);
         match method.try_run_on(&stream, pool, &jctx.control) {
             // cancelled sweeps never reach the cache: only complete reports
             // are content-addressed

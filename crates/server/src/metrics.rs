@@ -418,9 +418,6 @@ pub struct Metrics {
     pub stream_scales_reused: Counter,
     /// `saturn_stream_tiles_skipped_total` — DP tiles avoided by reuse.
     pub stream_tiles_skipped: Counter,
-    /// `saturn_stream_suffix_windows_rebuilt_total` — timeline windows
-    /// rebuilt by suffix splices (the incremental work actually done).
-    pub stream_suffix_windows_rebuilt: Counter,
     /// `saturn_stream_stale_refreshes_total` — refreshes whose snapshot
     /// was outrun by a newer refresh of the same session and therefore ran
     /// from scratch, leaving the session cache alone.
@@ -638,11 +635,6 @@ impl Metrics {
                 "saturn_stream_tiles_skipped_total",
                 "DP tiles avoided by sweep-cache scale reuse.",
                 &self.stream_tiles_skipped,
-            ),
-            (
-                "saturn_stream_suffix_windows_rebuilt_total",
-                "Timeline windows rebuilt by suffix splices.",
-                &self.stream_suffix_windows_rebuilt,
             ),
             (
                 "saturn_stream_stale_refreshes_total",

@@ -16,7 +16,6 @@
 //! | `deadline_ms` | u64 | server default | end-to-end deadline, 0 = none |
 //! | `tile` | usize | server default | sweep tile width, 0 = auto |
 //! | `no_delta` | 0/1 | server default | disable delta propagation |
-//! | `no_incremental` | 0/1 | server default | disable merge-built timelines |
 //! | `delta_min` | i64 | 1 | validation minimum delta |
 //! | `weighted` | 0/1 | 1 | validation weighted transitions |
 //! | `directed` | flag | off | parse the trace body as directed |
@@ -39,8 +38,6 @@ pub struct ParamDefaults {
     pub tile: usize,
     /// Default delta-propagation disable switch.
     pub no_delta: bool,
-    /// Default incremental-timeline disable switch.
-    pub no_incremental: bool,
 }
 
 /// Every query parameter of the v1 API, parsed and defaulted.
@@ -56,8 +53,6 @@ pub struct RequestParams {
     pub tile: usize,
     /// `no_delta` over the server default.
     pub no_delta: bool,
-    /// `no_incremental` over the server default.
-    pub no_incremental: bool,
     /// `delta_min` (validation sweeps).
     pub delta_min: i64,
     /// `weighted` (validation sweeps; default on).
@@ -89,11 +84,6 @@ impl RequestParams {
             deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             tile: numeric(request, "tile", defaults.tile)?,
             no_delta: numeric::<u8>(request, "no_delta", defaults.no_delta as u8)? != 0,
-            no_incremental: numeric::<u8>(
-                request,
-                "no_incremental",
-                defaults.no_incremental as u8,
-            )? != 0,
             delta_min: numeric(request, "delta_min", 1i64)?,
             weighted: request.param("weighted").is_none_or(|v| v != "0"),
             directedness: if request.flag("directed") {
@@ -150,7 +140,6 @@ mod tests {
         assert_eq!(p.deadline, None);
         assert_eq!(p.tile, 0);
         assert!(!p.no_delta);
-        assert!(!p.no_incremental);
         assert_eq!(p.delta_min, 1);
         assert!(p.weighted);
         assert_eq!(p.directedness, Directedness::Undirected);
@@ -159,28 +148,20 @@ mod tests {
 
     #[test]
     fn server_defaults_flow_through() {
-        let defaults =
-            ParamDefaults { deadline_ms: 1500, tile: 8, no_delta: true, no_incremental: true };
+        let defaults = ParamDefaults { deadline_ms: 1500, tile: 8, no_delta: true };
         let p = RequestParams::parse(&req(&[]), &defaults).unwrap();
         assert_eq!(p.deadline, Some(Duration::from_millis(1500)));
         assert_eq!(p.tile, 8);
         assert!(p.no_delta);
-        assert!(p.no_incremental);
         // per-request values override every server default
         let p = RequestParams::parse(
-            &req(&[
-                ("deadline_ms", "0"),
-                ("tile", "2"),
-                ("no_delta", "0"),
-                ("no_incremental", "0"),
-            ]),
+            &req(&[("deadline_ms", "0"), ("tile", "2"), ("no_delta", "0")]),
             &defaults,
         )
         .unwrap();
         assert_eq!(p.deadline, None);
         assert_eq!(p.tile, 2);
         assert!(!p.no_delta);
-        assert!(!p.no_incremental);
     }
 
     #[test]
@@ -192,7 +173,6 @@ mod tests {
             ("deadline_ms", "250"),
             ("tile", "4"),
             ("no_delta", "1"),
-            ("no_incremental", "1"),
             ("delta_min", "5"),
             ("weighted", "0"),
             ("directed", "1"),
@@ -203,7 +183,7 @@ mod tests {
         assert_eq!(p.targets, TargetSpec::Sample { size: 64, seed: 9 });
         assert_eq!(p.deadline, Some(Duration::from_millis(250)));
         assert_eq!(p.tile, 4);
-        assert!(p.no_delta && p.no_incremental);
+        assert!(p.no_delta);
         assert_eq!(p.delta_min, 5);
         assert!(!p.weighted);
         assert_eq!(p.directedness, Directedness::Directed);
@@ -221,16 +201,8 @@ mod tests {
 
     #[test]
     fn every_numeric_parameter_rejects_garbage_with_400() {
-        for key in [
-            "points",
-            "sample",
-            "seed",
-            "deadline_ms",
-            "tile",
-            "no_delta",
-            "no_incremental",
-            "delta_min",
-        ] {
+        for key in ["points", "sample", "seed", "deadline_ms", "tile", "no_delta", "delta_min"]
+        {
             let e = parse(&[(key, "abc")]).unwrap_err();
             assert_eq!(e.status, 400, "{key}");
             assert_eq!(e.code, "bad_request", "{key}");

@@ -13,9 +13,9 @@
 //!   `400` never leaves a half-applied batch behind.
 //! * `POST /v1/streams/<id>/analyze` — re-analyzes the stream-so-far
 //!   through [`OccupancyMethod::try_refresh_on`], reusing the session's
-//!   cached per-scale timelines and histograms: clean scales are served
-//!   without running any DP, dirty ones rebuild only the suffix windows
-//!   the appended events touched.
+//!   cached per-scale histograms: a scale at which every appended event
+//!   lands in an already occupied `(pair, window)` cell is served without
+//!   running any DP; the other scales are recomputed from scratch.
 //!
 //! **The report is the artifact, the session is the accelerator.** A
 //! refresh produces byte-for-byte the same JSON `/v1/analyze` returns for
@@ -27,8 +27,9 @@
 //! analyze of the same bytes, which would leave the session cold.
 //!
 //! The study period is pinned at creation because the sweep cache requires
-//! it: window boundaries may not move between refreshes (see the splice
-//! invariants in `saturn-trips`). Appends outside the period are `400`s.
+//! it: window boundaries may not move between refreshes (see "Absorbed
+//! appends" in the `saturn-trips` timeline module). Appends outside the
+//! period are `400`s.
 //!
 //! Sessions are in-memory only and TTL-evicted: every streams request
 //! first sweeps expired sessions, so an idle server holds them at most
@@ -92,21 +93,14 @@ struct Session {
 /// A session's append-side state.
 struct Ingest {
     builder: LinkStreamBuilder,
-    /// Earliest timestamp appended since the last successful refresh
-    /// (`None` = clean). Conservative by construction: self-loops that the
-    /// builder drops still lower it, which can only shrink the reused
-    /// prefix, never corrupt it.
-    dirty_min_t: Option<i64>,
     /// Monotone append counter, bumped on every committed batch. Refresh
-    /// snapshots capture it to order themselves against [`SweepState`] and
-    /// to detect appends racing a refresh (the dirty mark must survive
-    /// those).
+    /// snapshots capture it to order themselves against [`SweepState`].
     version: u64,
 }
 
 /// A session's refresh-side state, behind `Session::sweep`.
 struct SweepState {
-    /// The per-scale timeline + histogram cache refreshes read and update.
+    /// The event view + per-scale histogram cache refreshes read and update.
     cache: SweepCache,
     /// [`Ingest::version`] of the snapshot whose *successful* refresh last
     /// advanced `cache` — the watermark [`run_refresh`] checks so that a
@@ -215,10 +209,8 @@ pub(crate) fn endpoint_create(request: &Request, ctx: &ServerContext) -> Handled
     };
     let mut builder = LinkStreamBuilder::new(directedness);
     builder.period(t_begin, t_end);
-    let mut dirty_min_t = None;
     if !request.body.is_empty() {
         let events = parse_batch(&request.body, (t_begin, t_end))?;
-        dirty_min_t = events.iter().map(|e| e.t).min();
         for event in &events {
             builder.add(event.u, event.v, event.t);
         }
@@ -249,7 +241,7 @@ pub(crate) fn endpoint_create(request: &Request, ctx: &ServerContext) -> Handled
             Arc::new(Session {
                 id,
                 period: (t_begin, t_end),
-                ingest: Mutex::new(Ingest { builder, dirty_min_t, version: 0 }),
+                ingest: Mutex::new(Ingest { builder, version: 0 }),
                 sweep: Mutex::new(SweepState { cache: SweepCache::new(), version: 0 }),
                 last_touch: Mutex::new(Instant::now()),
             }),
@@ -302,7 +294,6 @@ fn append_events(request: &Request, ctx: &ServerContext, session: &Arc<Session>)
     if events.is_empty() {
         return Err(ApiError::new(400, "event batch contains no events"));
     }
-    let batch_min = events.iter().map(|e| e.t).min().expect("non-empty batch");
     let (appended, total) = {
         let mut ingest = session.ingest.lock().unwrap();
         let before = ingest.builder.len();
@@ -312,10 +303,6 @@ fn append_events(request: &Request, ctx: &ServerContext, session: &Arc<Session>)
         // `appended` counts retained events — the builder drops self-loops
         let appended = (ingest.builder.len() - before) as u64;
         ingest.version += 1;
-        ingest.dirty_min_t = Some(match ingest.dirty_min_t {
-            Some(t0) => t0.min(batch_min),
-            None => batch_min,
-        });
         (appended, ingest.builder.len() as u64)
     };
     ctx.metrics.stream_events_appended.add(appended);
@@ -330,33 +317,30 @@ fn append_events(request: &Request, ctx: &ServerContext, session: &Arc<Session>)
 }
 
 /// Executes one refresh job against `session`'s sweep state, given a
-/// snapshot `(stream, dirty_from, snapshot_version)` cut under the ingest
-/// lock.
+/// snapshot `(stream, snapshot_version)` cut under the ingest lock.
 ///
 /// Concurrent refreshes of one session hash to *different* job keys when
 /// an append lands between their snapshots, so with several executor
 /// shards they can execute out of submission order. The sweep state
 /// therefore carries the ingest version of the snapshot that last advanced
 /// it: a snapshot older than that watermark must not run against the cache
-/// — the cache was built from a strict superset of its events, and reusing
-/// or splicing cached timelines would serve the newer stream's bytes under
-/// the older stream's content key (the core's own stream stamp on
-/// [`SweepCache`] would catch this too, but by discarding the newer
-/// entries). Such an outrun refresh recomputes from scratch — still
-/// exactly the right bytes for *its* snapshot — and leaves all session
-/// state alone.
+/// — the cache was built from a strict superset of its events. The core
+/// would reuse nothing for it anyway (its view is no append-only extension
+/// of the cached one), but a successful refresh would then commit the
+/// older state over the newer one. Such an outrun refresh recomputes from
+/// scratch — still exactly the right bytes for *its* snapshot — and leaves
+/// all session state alone.
 ///
 /// Returns the report plus the sweep-cache stats, `None` for the stale
-/// scratch path (which bypasses the cache entirely). On success the
-/// watermark advances and the dirty mark clears unless an append raced the
-/// sweep; on cancellation both survive for the retry.
+/// scratch path (which bypasses the cache entirely). The watermark
+/// advances only on success; a cancelled refresh leaves the cache and the
+/// watermark as they were.
 fn run_refresh(
     method: &OccupancyMethod,
     stream: &LinkStream,
     pool: &mut WorkerPool,
     ctl: &SweepControl,
     session: &Session,
-    dirty_from: Option<i64>,
     snapshot_version: u64,
 ) -> Result<(OccupancyReport, Option<RefreshStats>), Cancelled> {
     let mut sweep = session.sweep.lock().unwrap();
@@ -364,18 +348,9 @@ fn run_refresh(
         drop(sweep);
         return Ok((method.try_run_on(stream, pool, ctl)?, None));
     }
-    let report = method.try_refresh_on(stream, pool, ctl, &mut sweep.cache, dirty_from)?;
+    let report = method.try_refresh_on(stream, pool, ctl, &mut sweep.cache)?;
     sweep.version = snapshot_version;
-    let stats = sweep.cache.stats;
-    drop(sweep);
-    // the dirty mark clears only if no append raced the sweep; a racing
-    // append keeps its (conservative, still correct) mark for the next
-    // refresh
-    let mut ingest = session.ingest.lock().unwrap();
-    if ingest.version == snapshot_version {
-        ingest.dirty_min_t = None;
-    }
-    Ok((report, Some(stats)))
+    Ok((report, Some(sweep.cache.stats)))
 }
 
 /// The refresh path: snapshot the stream-so-far, then run the sweep
@@ -389,24 +364,23 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
             "analyze takes no body on a stream session (append via /events first)",
         ));
     }
-    // snapshot under the ingest lock: the events, the dirty mark and the
-    // version must be one consistent cut, or a racing append could be
-    // marked clean
-    let (stream, dirty_from, version_at_snapshot) = {
+    // snapshot under the ingest lock: the events and the version must be
+    // one consistent cut
+    let (stream, version_at_snapshot) = {
         let ingest = session.ingest.lock().unwrap();
         let stream = ingest
             .builder
             .snapshot()
             .map_err(|e| ApiError::new(400, format!("stream {}: {e}", session.id)))?;
-        (stream, ingest.dirty_min_t, ingest.version)
+        (stream, ingest.version)
     };
     let grid = SweepGrid::Geometric { points: p.points };
     let scales_hint = grid.k_values(&stream, 1).len() as u64;
 
     // response cache key: the plain analyze fingerprint, shared with
     // `/v1/analyze` — a refresh and a scratch run of the concatenated
-    // trace are the same artifact. Session state (dirty mark, cache
-    // contents) is an accelerator and MUST stay out: it never changes the
+    // trace are the same artifact. Session state (the sweep cache) is an
+    // accelerator and MUST stay out: it never changes the
     // bytes, only how much work producing them takes.
     let mut digest = Digest::new("saturn.analyze.v1");
     digest.write_u128(fingerprint::stream_digest(&stream));
@@ -425,29 +399,20 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
     let metrics = Arc::clone(&ctx.metrics);
     let session = Arc::clone(session);
     let targets = p.targets;
-    let (tile, no_delta, no_incremental) = (p.tile, p.no_delta, p.no_incremental);
+    let (tile, no_delta) = (p.tile, p.no_delta);
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
         let method = OccupancyMethod::new()
             .grid(grid)
             .targets(targets)
             .tile(tile)
-            .no_delta_propagation(no_delta)
-            .no_incremental_timeline(no_incremental);
-        let run = run_refresh(
-            &method,
-            &stream,
-            pool,
-            &jctx.control,
-            &session,
-            dirty_from,
-            version_at_snapshot,
-        );
+            .no_delta_propagation(no_delta);
+        let run =
+            run_refresh(&method, &stream, pool, &jctx.control, &session, version_at_snapshot);
         match run {
             Ok((report, Some(stats))) => {
                 metrics.stream_refreshes.inc();
                 metrics.stream_scales_reused.add(stats.scales_reused);
                 metrics.stream_tiles_skipped.add(stats.tiles_skipped);
-                metrics.stream_suffix_windows_rebuilt.add(stats.suffix_windows_rebuilt);
                 cache_insert(report.to_json())
             }
             // outrun by a newer refresh: correct bytes for this snapshot,
@@ -456,11 +421,8 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
                 metrics.stream_stale_refreshes.inc();
                 cache_insert(report.to_json())
             }
-            // a cancelled refresh may leave entries from its completed
-            // refine rounds in the sweep cache — safe, because each entry
-            // pairs a timeline with its own histogram and the surviving
-            // dirty mark keeps the next refresh's splices conservative;
-            // the version watermark only advances on success
+            // a cancelled refresh leaves the sweep cache and the version
+            // watermark as they were
             Err(_cancelled) => jctx.cancelled_outcome(),
         }
     });
@@ -484,32 +446,26 @@ mod tests {
         Arc::new(Session {
             id,
             period: (0, 100),
-            ingest: Mutex::new(Ingest { builder, dirty_min_t: None, version: 0 }),
+            ingest: Mutex::new(Ingest { builder, version: 0 }),
             sweep: Mutex::new(SweepState { cache: SweepCache::new(), version: 0 }),
             last_touch: Mutex::new(Instant::now()),
         })
     }
 
-    /// A consistent `(stream, dirty mark, version)` cut, exactly as
+    /// A consistent `(stream, version)` cut, exactly as
     /// `refresh_analysis` takes it.
-    fn snapshot(session: &Session) -> (LinkStream, Option<i64>, u64) {
+    fn snapshot(session: &Session) -> (LinkStream, u64) {
         let ingest = session.ingest.lock().unwrap();
-        (ingest.builder.snapshot().unwrap(), ingest.dirty_min_t, ingest.version)
+        (ingest.builder.snapshot().unwrap(), ingest.version)
     }
 
-    /// Commits a batch the way `append_events` does: builder, version,
-    /// dirty mark.
+    /// Commits a batch the way `append_events` does: builder, version.
     fn append(session: &Session, batch: &[(&str, &str, i64)]) {
         let mut ingest = session.ingest.lock().unwrap();
-        let batch_min = batch.iter().map(|&(.., t)| t).min().expect("non-empty");
         for &(u, v, t) in batch {
             ingest.builder.add(u, v, t);
         }
         ingest.version += 1;
-        ingest.dirty_min_t = Some(match ingest.dirty_min_t {
-            Some(t0) => t0.min(batch_min),
-            None => batch_min,
-        });
     }
 
     /// The executor race the job keys allow: two refreshes of one session
@@ -529,24 +485,23 @@ mod tests {
         let seed: Vec<(&str, &str, i64)> =
             batch.iter().map(|(u, v, t)| (u.as_str(), v.as_str(), *t)).collect();
         append(&session, &seed);
-        let (stream_a, dirty_a, v_a) = snapshot(&session);
+        let (stream_a, v_a) = snapshot(&session);
         // the racing append, then the newer snapshot
         append(&session, &[("m0", "n1", 80), ("m1", "n2", 85), ("m2", "n3", 97)]);
-        let (stream_b, dirty_b, v_b) = snapshot(&session);
+        let (stream_b, v_b) = snapshot(&session);
         assert!(v_a < v_b);
 
         // the newer refresh executes first and advances the session
         let (report_b, stats_b) =
-            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, dirty_b, v_b).unwrap();
+            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, v_b).unwrap();
         assert_eq!(report_b.to_json(), method.run_on(&stream_b, &mut pool).to_json());
         assert!(stats_b.is_some());
         assert_eq!(session.sweep.lock().unwrap().version, v_b);
-        assert!(session.ingest.lock().unwrap().dirty_min_t.is_none(), "no append raced");
 
         // the stale snapshot still produces the right bytes for ITS
         // stream, from scratch, without the session cache
         let (report_a, stats_a) =
-            run_refresh(&method, &stream_a, &mut pool, &ctl, &session, dirty_a, v_a).unwrap();
+            run_refresh(&method, &stream_a, &mut pool, &ctl, &session, v_a).unwrap();
         assert_eq!(report_a.to_json(), method.run_on(&stream_a, &mut pool).to_json());
         assert!(stats_a.is_none(), "an outrun refresh must bypass the session cache");
         assert_ne!(report_a.to_json(), report_b.to_json());
@@ -555,7 +510,7 @@ mod tests {
         // identical clean re-refresh of B reuses every scale
         assert_eq!(session.sweep.lock().unwrap().version, v_b);
         let (report_b2, stats_b2) =
-            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, None, v_b).unwrap();
+            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, v_b).unwrap();
         assert_eq!(report_b2.to_json(), report_b.to_json());
         let stats = stats_b2.expect("in-order refresh uses the cache");
         assert_eq!(stats.scales_reused, stats.scales_total, "{stats:?}");

@@ -13,7 +13,6 @@ fn start(tweak: impl FnOnce(&mut ServerConfig)) -> saturn_server::ServerHandle {
         threads: 2,
         tile: 0,
         no_delta: false,
-        no_incremental: false,
         cache_bytes: 8 << 20,
         queue_depth: 16,
         max_body_bytes: 1 << 20,
@@ -211,58 +210,26 @@ fn no_delta_requests_hit_the_same_cache_entry() {
     server.stop();
 }
 
-/// Incremental timeline construction must be invisible end to end: with
-/// caching disabled, scratch-built (`?no_incremental=1`) and merge-built
-/// reports are byte-identical cold sweeps; with caching on, the knob — like
-/// `?tile=` and `?no_delta=` — is not part of the content address, so an
-/// ablated request is served from the incremental run's cache entry.
+/// Unknown query parameters — retired knobs included — are ignored: the
+/// report is byte-identical to the plain request's, and with caching on the
+/// request is served from the plain request's cache entry.
 #[test]
-fn no_incremental_requests_are_identical_and_share_the_cache_entry() {
-    let cold_server = start(|config| {
-        config.cache_bytes = 0;
-        config.threads = 3;
-    });
-    let body = trace(8, 220, 30);
-    let reference =
-        request(cold_server.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
-    assert_eq!(reference.status, 200);
-    for target in
-        ["/v1/analyze?points=8&no_incremental=1", "/v1/analyze?points=8&no_incremental=0"]
-    {
-        let toggled = request(cold_server.addr(), "POST", target, body.as_bytes());
-        assert_eq!(toggled.status, 200, "{target}");
-        assert_eq!(
-            reference.body, toggled.body,
-            "{target}: incremental timeline construction must not change report bytes"
-        );
-    }
-    let bad = request(
-        cold_server.addr(),
-        "POST",
-        "/v1/analyze?points=8&no_incremental=x",
-        body.as_bytes(),
-    );
-    assert_eq!(bad.status, 400);
-    cold_server.stop();
-
+fn unknown_query_parameters_are_ignored_and_share_the_cache_entry() {
     let server = start(|_| {});
+    let body = trace(8, 220, 30);
     let cold = request(server.addr(), "POST", "/v1/analyze?points=9", body.as_bytes());
     assert_eq!(cold.status, 200);
     let health = json(&request(server.addr(), "GET", "/v1/health", b""));
     let hits_before = health["cache"]["hits"].as_u64().unwrap();
-    let ablated = request(
-        server.addr(),
-        "POST",
-        "/v1/analyze?points=9&no_incremental=1",
-        body.as_bytes(),
-    );
-    assert_eq!(ablated.status, 200);
-    assert_eq!(cold.body, ablated.body, "cached hit must be byte-identical");
+    let probed =
+        request(server.addr(), "POST", "/v1/analyze?points=9&retired_knob=x", body.as_bytes());
+    assert_eq!(probed.status, 200);
+    assert_eq!(cold.body, probed.body, "cached hit must be byte-identical");
     let health = json(&request(server.addr(), "GET", "/v1/health", b""));
     assert_eq!(
         health["cache"]["hits"].as_u64().unwrap(),
         hits_before + 1,
-        "?no_incremental must address the same cache entry"
+        "an unknown parameter must address the same cache entry"
     );
     server.stop();
 }
@@ -652,7 +619,6 @@ fn metrics_exposition_is_wellformed() {
         "saturn_stream_refreshes_total",
         "saturn_stream_scales_reused_total",
         "saturn_stream_tiles_skipped_total",
-        "saturn_stream_suffix_windows_rebuilt_total",
         "saturn_stream_stale_refreshes_total",
         "saturn_parse_seconds",
         "saturn_handle_seconds",
@@ -1106,11 +1072,10 @@ fn streaming_refresh_is_byte_identical_to_scratch_analyze() {
     assert_eq!(again.status, 200);
     assert_eq!(&again.body, refreshed.last().unwrap());
 
-    // the incremental machinery demonstrably ran: dirty refreshes spliced
-    // suffix windows, the clean one reused scales and skipped DP tiles
+    // the incremental machinery demonstrably ran: the clean refresh reused
+    // scales and skipped DP tiles
     let text = scrape_metrics(addr);
     assert!(metric_sample(&text, "saturn_stream_refreshes_total") >= 4.0);
-    assert!(metric_sample(&text, "saturn_stream_suffix_windows_rebuilt_total") >= 1.0);
     assert!(metric_sample(&text, "saturn_stream_scales_reused_total") >= 1.0);
     assert!(metric_sample(&text, "saturn_stream_tiles_skipped_total") >= 1.0);
     assert!(metric_sample(&text, "saturn_stream_events_appended_total") >= 202.0);

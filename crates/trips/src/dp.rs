@@ -216,20 +216,6 @@ pub struct DpOptions {
     /// the `delta_propagation` bench/ablation. Ignored by [`baseline`],
     /// which keeps no watermarks.
     pub no_delta_propagation: bool,
-    /// Disable incremental timeline construction in sweeps: build every
-    /// scale's [`Timeline`] from scratch off the shared event view instead
-    /// of merging adjacent windows of an already-built finer scale
-    /// (`Timeline::aggregated_by_merge`; see the timeline module's "Merge
-    /// invariants"). The engines themselves ignore this flag — a merged
-    /// timeline is field-for-field identical to a scratch-built one, so
-    /// they consume either unchanged. Its consumer is the sweep scheduler:
-    /// `OccupancyMethod::sweep_scales` builds one `DpOptions` per sweep
-    /// (from `OccupancyMethod::no_incremental_timeline`, which CLI
-    /// `--no-incremental` and serve `?no_incremental=1` set) and reads this
-    /// field to empty the scale merge plan, so every execution knob rides
-    /// the same options value. Results are bit-identical either way and
-    /// the flag never enters content fingerprints.
-    pub no_incremental_timeline: bool,
 }
 
 /// Raw distance sums over every `(u, v, departure step)` triple with a finite

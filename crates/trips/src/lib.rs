@@ -69,10 +69,9 @@ pub use dp::{
 pub use elongation::{elongation_stats, elongation_stats_on, ElongationStats};
 pub use occupancy::{
     occupancy_histogram, occupancy_histogram_in, occupancy_histogram_on,
-    occupancy_histogram_tile_cancel_in, occupancy_histogram_tile_in,
-    occupancy_histogram_tile_opts_in, occupancy_histogram_tile_stats_in, OccupancyHistogram,
+    occupancy_histogram_tile_in, occupancy_histogram_tile_stats_in, OccupancyHistogram,
 };
 pub use stream_trips::{stream_minimal_trips, PairTrips, StreamTrips};
 pub use target::TargetSet;
-pub use timeline::{EventView, StepView, Timeline};
+pub use timeline::{Append, EventView, StepView, Timeline};
 pub use transitions::{lost_transition_fraction, ShortestTransitions, Transition};

@@ -161,58 +161,27 @@ pub fn occupancy_histogram_tile_in(
     col_start: u32,
     col_len: usize,
 ) -> OccupancyHistogram {
-    occupancy_histogram_tile_opts_in(
+    occupancy_histogram_tile_stats_in(
         arena,
         timeline,
         targets,
         col_start,
         col_len,
         DpOptions::default(),
-    )
-}
-
-/// [`occupancy_histogram_tile_in`] with explicit engine options — the sweep
-/// scheduler's entry point, used to thread execution knobs that do not
-/// change results (e.g. [`DpOptions::no_delta_propagation`] for the delta
-/// ablation) through the tiled path.
-pub fn occupancy_histogram_tile_opts_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    options: DpOptions,
-) -> OccupancyHistogram {
-    occupancy_histogram_tile_cancel_in(
-        arena, timeline, targets, col_start, col_len, options, None,
-    )
-}
-
-/// [`occupancy_histogram_tile_opts_in`] with a cooperative [`CancelToken`]
-/// (see [`crate::dp::earliest_arrival_dp_tile_cancel_in`]). A `None` or
-/// never-fired token is result-identical to the plain path; a fired token
-/// stops the DP within one stride and the returned partial histogram must be
-/// discarded.
-pub fn occupancy_histogram_tile_cancel_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    options: DpOptions,
-    cancel: Option<&CancelToken>,
-) -> OccupancyHistogram {
-    occupancy_histogram_tile_stats_in(
-        arena, timeline, targets, col_start, col_len, options, cancel,
+        None,
     )
     .0
 }
 
-/// [`occupancy_histogram_tile_cancel_in`] that also surfaces the engine's
-/// [`DpStats`] instead of dropping them in the sink — the telemetry hook of
-/// the sweep scheduler. The histogram is byte-for-byte the one the plain
-/// variant returns; the stats are observational only and, like the
-/// histogram, must be discarded if the token fired mid-run.
+/// [`occupancy_histogram_tile_in`] with explicit engine options, a
+/// cooperative [`CancelToken`] (see
+/// [`crate::dp::earliest_arrival_dp_tile_cancel_in`]), and the engine's
+/// [`DpStats`] surfaced instead of dropped in the sink — the sweep
+/// scheduler's entry point. Options that do not change results (e.g.
+/// [`DpOptions::no_delta_propagation`]) ride through unchanged, and a
+/// `None` or never-fired token is result-identical to the plain path. The
+/// stats are observational only; if the token fired mid-run, the partial
+/// histogram and its stats must both be discarded.
 pub fn occupancy_histogram_tile_stats_in(
     arena: &mut EngineArena,
     timeline: &Timeline,

@@ -29,84 +29,26 @@
 //! occupancy sweep builds one `EventView` and feeds it to every scale (see
 //! [`Timeline::aggregated_from_view`]).
 //!
-//! # Merge invariants (incremental adjacent-scale construction)
+//! # Absorbed appends (session refresh reuse)
 //!
-//! A sweep evaluates the same stream at a *series* of scales, and adjacent
-//! scales share almost all of their window structure. When the coarser
-//! window count divides the finer one (`k_fine = r · k_coarse`),
-//! [`Timeline::aggregated_by_merge`] derives the coarse timeline from the
-//! fine one by merging runs of `r` adjacent windows instead of re-scattering
-//! the full [`EventView`]; [`Timeline::merge_compatible`] is the predicate
-//! guarding it. The merged timeline is **field-for-field identical** to the
-//! scratch-built one ([`aggregated_from_view`](Timeline::aggregated_from_view)
-//! at the same `k`), resting on these invariants:
-//!
-//! * **Exact window nesting.** [`WindowPartition::index`] maps an offset to
-//!   `⌊off · k / span⌋` (clamped at `k − 1`). For any real `x` and integer
-//!   `r ≥ 1`, `⌊⌊x · k_fine⌋ / r⌋ = ⌊x · k_coarse⌋` when
-//!   `k_fine = r · k_coarse`, and the end-of-period clamp commutes with the
-//!   division (`(k_fine − 1) / r = k_coarse − 1`). Hence every event's
-//!   coarse window is its fine window divided by `r` — *no event can
-//!   straddle a merge*. Non-divisor ratios have no such guarantee (a fine
-//!   window can span a coarse boundary), which is exactly what
-//!   `merge_compatible` rejects; callers then fall back to a scratch build.
-//! * **Pair ids are scale-independent.** On the aggregated path, pair ids
-//!   are assigned in `(u, v)`-sorted view order, so a pair's id is its rank
-//!   among the view's distinct pairs — the same at every `k`. Merging
-//!   carries ids through unchanged and copies `distinct_pairs`, preserving
-//!   the stable-id contract the delta engine's watermarks key on.
-//! * **Order and dedup.** Within a step, edges ascend by `(u, v)`, and pair
-//!   ids are a monotone function of `(u, v)`; the union of the `r` fine
-//!   steps of one coarse window is therefore a sorted-by-pair-id multiway
-//!   merge, with equal ids collapsing to one edge — the same set, in the
-//!   same order, that the radix scatter produces after its neighbor dedup.
-//! * **Exact timelines never merge.** Their steps are distinct timestamps,
-//!   not windows; `merge_compatible` is `false` for them.
-//!
-//! The differential proptest `timeline_incremental.rs` enforces the
-//! field-for-field equality (offsets, edge arrays, pair ids, and the DP
-//! results computed from them) over random streams × random divisor chains.
-//!
-//! # Splice invariants (append-only suffix rebuild)
-//!
-//! A streaming ingest session appends events to a stream whose study
-//! period is **pinned** at creation; re-analysis must not rebuild every
-//! scale's timeline from scratch when only the trailing windows changed.
-//! [`Timeline::spliced_from_view`] rebuilds exactly the window suffix
-//! `[first_dirty, K)` from the grown [`EventView`] and keeps the CSR
-//! prefix of the old timeline verbatim (modulo pair-id remapping). The
-//! result is **field-for-field identical** to
-//! [`aggregated_from_view`](Timeline::aggregated_from_view) of the new
-//! view at the same `K`, resting on these invariants:
-//!
-//! * **Pinned study period.** Both timelines must partition the *same*
-//!   `[t_begin, t_end]` into `K` windows. If the period grew with the
-//!   appended events, every window boundary `Δ = T/K` would move and no
-//!   prefix could be reused — which is why ingest sessions require an
-//!   explicit period up front (and reject out-of-period appends).
-//! * **Append-only superset.** The new view's events are a superset of
-//!   the old ones, and every *new* event lands in a window
-//!   `>= first_dirty`. Windows `< first_dirty` therefore hold exactly the
-//!   event multiset they held before, so their deduplicated steps are
-//!   unchanged and the old CSR prefix (rows `< first_dirty`) is reused
-//!   byte-for-byte. A conservative (too small) `first_dirty` is always
-//!   safe — it only rebuilds more suffix than strictly necessary.
-//! * **Pair ids are view ranks.** The aggregated path assigns pair ids in
-//!   `(u, v)`-sorted view order. Appends can introduce new pairs anywhere
-//!   in that order, shifting the ranks of existing pairs, so the reused
-//!   prefix remaps each old id to the pair's rank in the *new* view
-//!   (a monotone map — within-step ascending `(u, v)` order survives).
-//!   The spliced timeline's ids therefore match the scratch build's ids
-//!   exactly, preserving the stable-id contract inside the one timeline.
-//! * **Dedup locality.** Same-pair-same-window repeats are adjacent in
-//!   the view, and a window is either entirely in the prefix or entirely
-//!   in the suffix — the scratch build's neighbor dedup commutes with the
-//!   prefix/suffix split.
-//!
-//! The differential proptest `timeline_splice.rs` enforces splice-equals-
-//! scratch over random streams × random append splits, and `Timeline`
-//! derives `PartialEq` so callers (the sweep's session cache) can verify
-//! "nothing actually changed at this scale" by direct comparison.
+//! A streaming session re-analyzes a stream that only grows, inside a study
+//! period pinned at creation. The aggregated timeline of scale `K` depends
+//! only on the node count, the directedness, the period, `K`, and the set of
+//! *occupied cells*: a cell is one node pair inside one window, occupied
+//! when at least one event of that pair falls in that window. Each step lists
+//! its window's occupied pairs, and pair ids are ranks among the occupied
+//! pairs. So when a grown view keeps the node count, directedness and period
+//! of an old one and its events are a superset of the old events, the
+//! timeline at `K` is unchanged exactly when every appended event lands in a
+//! cell an old event already occupies — the append is *absorbed* at `K`.
+//! [`EventView::append_since`] checks the preconditions in one merge walk
+//! over the two `(u, v, t)`-sorted views and records each appended event
+//! with the ticks of its nearest old events of the same pair.
+//! [`Append::is_absorbed`] then decides any `K` with at most two window
+//! lookups per appended event: an occupied cell holding the event contains
+//! one of those two neighbors. The node-count condition matters: a
+//! self-loop with a fresh label interns a node without adding an event, and
+//! the timelines (and sampled target sets) still change.
 
 use saturn_linkstream::{LinkStream, WindowPartition};
 
@@ -206,12 +148,80 @@ impl EventView {
     pub fn is_empty(&self) -> bool {
         self.src.is_empty()
     }
+
+    /// The events this view adds to `old`, or `None` when this view is not
+    /// an append-only extension of `old`: a different node count,
+    /// directedness or study period, or an old event missing here (module
+    /// docs, "Absorbed appends"). One merge walk over both sorted views.
+    pub fn append_since(&self, old: &EventView) -> Option<Append> {
+        let shape = |v: &EventView| (v.n, v.directed, v.t_begin, v.t_end);
+        if shape(self) != shape(old) {
+            return None;
+        }
+        let key = |v: &EventView, i: usize| (v.src[i], v.dst[i], v.ticks[i]);
+        let mut events = Vec::with_capacity(self.len().saturating_sub(old.len()));
+        let mut j = 0;
+        for i in 0..self.len() {
+            let (u, v, t) = key(self, i);
+            if j < old.len() {
+                let o = key(old, j);
+                if o == (u, v, t) {
+                    j += 1;
+                    continue;
+                }
+                if o < (u, v, t) {
+                    return None; // `old` holds an event this view lacks
+                }
+            }
+            // old[j - 1] < (u, v, t) < old[j]: the pair's nearest old ticks
+            let same_pair = |k: usize| old.src[k] == u && old.dst[k] == v;
+            let prev = (j > 0 && same_pair(j - 1)).then(|| old.ticks[j - 1]);
+            let next = (j < old.len() && same_pair(j)).then(|| old.ticks[j]);
+            events.push((t, prev, next));
+        }
+        (j == old.len()).then_some(Append { t_begin: self.t_begin, t_end: self.t_end, events })
+    }
+}
+
+/// The events a grown [`EventView`] adds to an older one, from
+/// [`EventView::append_since`].
+#[derive(Clone, Debug)]
+pub struct Append {
+    t_begin: saturn_linkstream::Time,
+    t_end: saturn_linkstream::Time,
+    /// Per appended event: its tick, and the ticks of the nearest old
+    /// events of the same pair before and after it.
+    events: Vec<(i64, Option<i64>, Option<i64>)>,
+}
+
+impl Append {
+    /// Whether nothing was appended.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Whether every appended event lands in a `(pair, window)` cell of
+    /// scale `k` that an old event already occupies — exactly when the
+    /// timeline of `k` windows is unchanged by the append (module docs,
+    /// "Absorbed appends").
+    ///
+    /// # Panics
+    /// Panics if `k` is invalid for the study period.
+    pub fn is_absorbed(&self, k: u64) -> bool {
+        let partition =
+            WindowPartition::new(self.t_begin, self.t_end, k).expect("invalid window count");
+        let window = |t: i64| partition.index(saturn_linkstream::Time::new(t));
+        self.events.iter().all(|&(t, prev, next)| {
+            let w = window(t);
+            prev.is_some_and(|p| window(p) == w) || next.is_some_and(|q| window(q) == w)
+        })
+    }
 }
 
 /// A prepared sequence of steps for the DP engine (see the module docs for
 /// the CSR layout). `PartialEq` is field-for-field — two equal timelines
-/// are interchangeable for the engine (the basis of the sweep cache's
-/// scale-reuse test).
+/// are interchangeable for the engine; tests use it as the oracle of
+/// [`Append::is_absorbed`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Timeline {
     n: u32,
@@ -457,333 +467,6 @@ impl Timeline {
     pub fn is_exact(&self) -> bool {
         !self.ticks.is_empty()
     }
-
-    /// Whether the timeline of `k` windows can be derived from this one by
-    /// [`aggregated_by_merge`](Timeline::aggregated_by_merge): this timeline
-    /// must be aggregated (window-indexed, not timestamp-indexed) and `k`
-    /// must divide its window count — only then is every coarse window an
-    /// exact union of adjacent fine windows (module docs, "Merge
-    /// invariants").
-    pub fn merge_compatible(&self, k: u64) -> bool {
-        !self.is_exact()
-            && k >= 1
-            && k <= self.num_steps as u64
-            && (self.num_steps as u64).is_multiple_of(k)
-    }
-
-    /// Derives the aggregated timeline at the coarser scale `k` by merging
-    /// runs of `num_steps / k` adjacent windows, instead of re-scattering
-    /// the full event view. Field-for-field identical to
-    /// [`aggregated_from_view`](Timeline::aggregated_from_view) at the same
-    /// `k` (module docs, "Merge invariants"); cost is `O(M_fine)` over the
-    /// fine timeline's deduplicated edges — plus one bitmap-word walk per
-    /// merged window — rather than `O(E)` over all events.
-    ///
-    /// Three run shapes, cheapest first: consecutive fine steps that each
-    /// land *alone* in their coarse window are batched into one verbatim
-    /// slice copy (their edges are contiguous in the CSR arrays — the
-    /// dominant shape on the sparse fine-scale tail); a two-step window
-    /// takes a classic two-way merge on pair ids (the dominant merging
-    /// shape on ratio-2 chains); wider windows take a pair-id bitmap union
-    /// whose ordered bit walk emits the sorted deduplicated result without
-    /// any comparison merging.
-    ///
-    /// # Panics
-    /// Panics unless [`merge_compatible`](Timeline::merge_compatible)
-    /// holds.
-    pub fn aggregated_by_merge(&self, k: u64) -> Timeline {
-        assert!(
-            self.merge_compatible(k),
-            "scales are not merge-compatible: {} windows -> {k}",
-            self.num_steps
-        );
-        let r = self.num_steps as u64 / k;
-        if r == 1 {
-            return self.clone();
-        }
-        let nonempty = self.nonempty_steps();
-        let mut step_index = Vec::with_capacity(nonempty.min(k as usize));
-        let mut step_offsets = Vec::with_capacity(nonempty.min(k as usize) + 1);
-        step_offsets.push(0u32);
-        let mut src = Vec::with_capacity(self.edge_src.len());
-        let mut dst = Vec::with_capacity(self.edge_src.len());
-        let mut pair = Vec::with_capacity(self.edge_src.len());
-        // union scratch for 3+-step windows, allocated lazily on the first
-        // one: a pair-id presence bitmap (cleared word-by-word as it is
-        // walked) and the (src, dst) of each present pair
-        let mut seen: Vec<u64> = Vec::new();
-        let mut pair_src: Vec<u32> = Vec::new();
-        let mut pair_dst: Vec<u32> = Vec::new();
-
-        let coarse = |s: usize| (self.step_index[s] as u64 / r) as u32;
-        let offs = |s: usize| self.step_offsets[s] as usize;
-        let mut i = 0;
-        while i < nonempty {
-            let w = coarse(i);
-            // the run of fine steps landing in coarse window `w`
-            let mut j = i + 1;
-            while j < nonempty && coarse(j) == w {
-                j += 1;
-            }
-            if j == i + 1 {
-                // `i` is alone in its window: extend the batch over every
-                // following step that is also alone in its own window, and
-                // copy the whole contiguous edge range in one go
-                while j < nonempty
-                    && coarse(j) != coarse(j - 1)
-                    && (j + 1 == nonempty || coarse(j + 1) != coarse(j))
-                {
-                    j += 1;
-                }
-                let base = src.len();
-                src.extend_from_slice(&self.edge_src[offs(i)..offs(j)]);
-                dst.extend_from_slice(&self.edge_dst[offs(i)..offs(j)]);
-                pair.extend_from_slice(&self.edge_pair[offs(i)..offs(j)]);
-                for s in i..j {
-                    step_index.push(coarse(s));
-                    step_offsets.push((base + offs(s + 1) - offs(i)) as u32);
-                }
-                i = j;
-                continue;
-            }
-            if j == i + 2 {
-                // two fine steps: classic two-way merge on pair id (the
-                // dominant merging case on ratio-2 chains at fine scales)
-                let (mut a, a_hi) = (offs(i), offs(i + 1));
-                let (mut b, b_hi) = (a_hi, offs(i + 2));
-                while a < a_hi && b < b_hi {
-                    let (pa, pb) = (self.edge_pair[a], self.edge_pair[b]);
-                    let take = if pa <= pb { a } else { b };
-                    src.push(self.edge_src[take]);
-                    dst.push(self.edge_dst[take]);
-                    pair.push(self.edge_pair[take]);
-                    if pa <= pb {
-                        a += 1;
-                    }
-                    if pb <= pa {
-                        b += 1;
-                    }
-                }
-                let (mut rest, hi) = if a < a_hi { (a, a_hi) } else { (b, b_hi) };
-                while rest < hi {
-                    src.push(self.edge_src[rest]);
-                    dst.push(self.edge_dst[rest]);
-                    pair.push(self.edge_pair[rest]);
-                    rest += 1;
-                }
-            } else {
-                // 3+ fine steps: mark pairs in the bitmap, then walk the
-                // touched words in ascending order — pair ids ascend with
-                // (u, v), so the bit walk *is* the sorted dedup union
-                if seen.is_empty() {
-                    seen = vec![0u64; (self.distinct_pairs as usize).div_ceil(64).max(1)];
-                    pair_src = vec![0u32; self.distinct_pairs as usize];
-                    pair_dst = vec![0u32; self.distinct_pairs as usize];
-                }
-                let (mut min_p, mut max_p) = (u32::MAX, 0u32);
-                for e in offs(i)..offs(j) {
-                    let p = self.edge_pair[e];
-                    let (word, bit) = ((p >> 6) as usize, 1u64 << (p & 63));
-                    if seen[word] & bit == 0 {
-                        seen[word] |= bit;
-                        pair_src[p as usize] = self.edge_src[e];
-                        pair_dst[p as usize] = self.edge_dst[e];
-                        min_p = min_p.min(p);
-                        max_p = max_p.max(p);
-                    }
-                }
-                let word_lo = (min_p >> 6) as usize;
-                for (at, slot) in seen[word_lo..=(max_p >> 6) as usize].iter_mut().enumerate() {
-                    let mut word = *slot;
-                    *slot = 0;
-                    while word != 0 {
-                        let p = ((word_lo + at) as u32) << 6 | word.trailing_zeros();
-                        src.push(pair_src[p as usize]);
-                        dst.push(pair_dst[p as usize]);
-                        pair.push(p);
-                        word &= word - 1;
-                    }
-                }
-            }
-            step_index.push(w);
-            step_offsets.push(src.len() as u32);
-            i = j;
-        }
-
-        Timeline {
-            n: self.n,
-            directed: self.directed,
-            num_steps: k as u32,
-            step_index,
-            step_offsets,
-            edge_src: src,
-            edge_dst: dst,
-            edge_pair: pair,
-            distinct_pairs: self.distinct_pairs,
-            ticks: Vec::new(),
-        }
-    }
-
-    /// Rebuilds only the window suffix `[first_dirty, K)` from the grown
-    /// `view`, keeping this timeline's CSR prefix for the clean windows
-    /// (module docs, "Splice invariants"). Field-for-field identical to
-    /// [`aggregated_from_view`](Timeline::aggregated_from_view) of `view`
-    /// at the same `K`, provided the study period is pinned, `view` is an
-    /// append-only superset of the events this timeline was built from,
-    /// and every appended event lands in a window `>= first_dirty`.
-    /// `first_dirty == 0` is a plain scratch rebuild; a conservative
-    /// (too small) `first_dirty` is always correct, just slower.
-    ///
-    /// Cost is `O(E)` for the pair/window pass (the pass is shared with a
-    /// scratch build) but the radix scatter and CSR fold — the allocation-
-    /// heavy parts — touch only the suffix events and `K - first_dirty`
-    /// buckets.
-    ///
-    /// # Panics
-    /// Panics if this timeline is exact, or `first_dirty > num_steps`, or
-    /// the view's period disagrees with a prefix pair's presence (an
-    /// append-only violation).
-    pub fn spliced_from_view(&self, view: &EventView, first_dirty: u32) -> Timeline {
-        assert!(!self.is_exact(), "suffix splice applies to aggregated timelines only");
-        assert!(
-            first_dirty <= self.num_steps,
-            "first_dirty {first_dirty} exceeds window count {}",
-            self.num_steps
-        );
-        let k = self.num_steps as u64;
-        if first_dirty == 0 {
-            return Timeline::aggregated_from_view(view, k);
-        }
-        let partition =
-            WindowPartition::new(view.t_begin, view.t_end, k).expect("invalid window count");
-
-        // One pass over the pair-sorted view: collect the sorted distinct
-        // pairs (rank = the id a scratch build would assign) and the
-        // deduplicated suffix events with windows shifted down by
-        // `first_dirty`. Same-pair-same-window repeats are adjacent (within
-        // a pair, ticks ascend), so the dedup matches the scratch pass.
-        let len = view.len();
-        let mut pairs_src: Vec<u32> = Vec::new();
-        let mut pairs_dst: Vec<u32> = Vec::new();
-        let mut win: Vec<u32> = Vec::new();
-        let mut src: Vec<u32> = Vec::new();
-        let mut dst: Vec<u32> = Vec::new();
-        let mut pair: Vec<u32> = Vec::new();
-        let mut cur: Option<(u32, u32)> = None;
-        let mut prev_win = u32::MAX;
-        for i in 0..len {
-            let uv = (view.src[i], view.dst[i]);
-            if cur != Some(uv) {
-                cur = Some(uv);
-                pairs_src.push(uv.0);
-                pairs_dst.push(uv.1);
-                prev_win = u32::MAX;
-            }
-            let w = partition.index(saturn_linkstream::Time::new(view.ticks[i])) as u32;
-            if w == prev_win {
-                continue;
-            }
-            prev_win = w;
-            if w >= first_dirty {
-                win.push(w - first_dirty);
-                src.push(uv.0);
-                dst.push(uv.1);
-                pair.push((pairs_src.len() - 1) as u32);
-            }
-        }
-        let distinct_pairs = pairs_src.len() as u32;
-        assert!(src.len() < u32::MAX as usize, "edge count exceeds engine limit");
-        let (win, src, dst, pair) =
-            radix_by_window(win, src, dst, pair, self.num_steps - first_dirty);
-
-        // Reuse the clean CSR prefix (steps with window < first_dirty),
-        // remapping each old pair id to the pair's rank in the new view.
-        let p = self.step_index.partition_point(|&w| w < first_dirty);
-        let prefix_edges = self.step_offsets[p] as usize;
-        let mut step_index = self.step_index[..p].to_vec();
-        let mut step_offsets = self.step_offsets[..=p].to_vec();
-        let mut edge_src = self.edge_src[..prefix_edges].to_vec();
-        let mut edge_dst = self.edge_dst[..prefix_edges].to_vec();
-        let mut remap = vec![u32::MAX; self.distinct_pairs as usize];
-        let mut edge_pair: Vec<u32> = Vec::with_capacity(prefix_edges + pair.len());
-        for e in 0..prefix_edges {
-            let old = self.edge_pair[e] as usize;
-            if remap[old] == u32::MAX {
-                let uv = (self.edge_src[e], self.edge_dst[e]);
-                let (mut lo, mut hi) = (0usize, pairs_src.len());
-                while lo < hi {
-                    let mid = (lo + hi) / 2;
-                    if (pairs_src[mid], pairs_dst[mid]) < uv {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                assert!(
-                    lo < pairs_src.len() && (pairs_src[lo], pairs_dst[lo]) == uv,
-                    "prefix pair absent from the view: splice requires an append-only superset"
-                );
-                remap[old] = lo as u32;
-            }
-            edge_pair.push(remap[old]);
-        }
-
-        // Append the rebuilt suffix, folding equal-window runs into the CSR
-        // arrays with indices and offsets shifted back up.
-        edge_src.extend_from_slice(&src);
-        edge_dst.extend_from_slice(&dst);
-        edge_pair.extend_from_slice(&pair);
-        let base = prefix_edges as u32;
-        let mut i = 0usize;
-        while i < win.len() {
-            let w = win[i];
-            let mut j = i + 1;
-            while j < win.len() && win[j] == w {
-                j += 1;
-            }
-            step_index.push(w + first_dirty);
-            step_offsets.push(base + j as u32);
-            i = j;
-        }
-
-        Timeline {
-            n: view.n,
-            directed: view.directed,
-            num_steps: self.num_steps,
-            step_index,
-            step_offsets,
-            edge_src,
-            edge_dst,
-            edge_pair,
-            distinct_pairs,
-            ticks: Vec::new(),
-        }
-    }
-
-    /// An order-sensitive checksum over every field the DP engine consumes
-    /// (step indices, CSR offsets, edge endpoints, pair ids, step/pair
-    /// counts). Two timelines with equal checksums are field-for-field
-    /// interchangeable for the engine; the sweep bench hard-asserts
-    /// merged-vs-scratch checksum equality.
-    pub fn checksum(&self) -> u64 {
-        let mut acc = 0xcbf2_9ce4_8422_2325u64
-            ^ ((self.num_steps as u64) << 1)
-            ^ ((self.distinct_pairs as u64) << 33)
-            ^ (self.directed as u64);
-        let mut mix = |x: u64| {
-            acc = (acc ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23);
-        };
-        for (i, &w) in self.step_index.iter().enumerate() {
-            mix((w as u64) << 32 | self.step_offsets[i + 1] as u64);
-        }
-        for e in 0..self.edge_src.len() {
-            mix((self.edge_src[e] as u64) << 40
-                | (self.edge_dst[e] as u64) << 16
-                | self.edge_pair[e] as u64 & 0xFFFF);
-            mix(self.edge_pair[e] as u64);
-        }
-        acc
-    }
 }
 
 /// Stable counting-sort of the `(win, src, dst, pair)` quads by `win`: one
@@ -971,162 +654,61 @@ mod tests {
         }
     }
 
-    /// Strict structural equality — every field the engine can observe.
-    fn assert_identical(a: &Timeline, b: &Timeline, what: &str) {
-        assert_eq!(a.num_steps(), b.num_steps(), "{what}: num_steps");
-        assert_eq!(a.nonempty_steps(), b.nonempty_steps(), "{what}: nonempty_steps");
-        assert_eq!(a.distinct_pairs(), b.distinct_pairs(), "{what}: distinct_pairs");
-        assert_eq!(a.is_exact(), b.is_exact(), "{what}: is_exact");
-        assert_eq!(a.is_directed(), b.is_directed(), "{what}: directedness");
-        for i in 0..a.nonempty_steps() {
-            let (x, y) = (a.step(i), b.step(i));
-            assert_eq!(x.index, y.index, "{what}: step {i} index");
-            assert_eq!(x.src, y.src, "{what}: step {i} src");
-            assert_eq!(x.dst, y.dst, "{what}: step {i} dst");
-            assert_eq!(x.pair, y.pair, "{what}: step {i} pair ids");
+    fn pinned(events: &[(&str, &str, i64)]) -> LinkStream {
+        let mut b = LinkStreamBuilder::new(Directedness::Undirected);
+        b.period(0, 99);
+        for &(u, v, t) in events {
+            b.add(u, v, t);
         }
-        assert_eq!(a.checksum(), b.checksum(), "{what}: checksum");
+        b.build().unwrap()
     }
 
     #[test]
-    fn merge_equals_scratch_across_divisor_ladder() {
-        let mut b = LinkStreamBuilder::indexed(Directedness::Undirected, 11);
-        for i in 0..500i64 {
-            b.add_indexed((i * 3 % 11) as u32, (i * 7 % 11) as u32, (i * 17) % 1201);
+    fn absorbed_appends_are_exactly_the_unchanged_timelines() {
+        let base = [("a", "b", 10), ("a", "b", 60), ("b", "c", 30)];
+        let old = EventView::new(&pinned(&base));
+        let grown = |extra: &[(&str, &str, i64)]| {
+            let events: Vec<_> = base.iter().chain(extra).copied().collect();
+            EventView::new(&pinned(&events))
+        };
+        // a repeat of a-b at t=15 is absorbed wherever 10 or 60 shares its
+        // window; a new pair never is
+        for (extra, what) in [
+            (vec![("a", "b", 15)], "repeat"),
+            (vec![("a", "b", 15), ("b", "c", 99)], "two repeats"),
+            (vec![("a", "c", 30)], "new pair"),
+            (vec![("a", "b", 10)], "exact duplicate"),
+        ] {
+            let new = grown(&extra);
+            let append = new.append_since(&old).expect("append-only");
+            for k in [1u64, 2, 3, 5, 10, 50, 99] {
+                let same = Timeline::aggregated_from_view(&old, k)
+                    == Timeline::aggregated_from_view(&new, k);
+                assert_eq!(append.is_absorbed(k), same, "{what} k={k}");
+            }
         }
-        let s = b.build().unwrap();
-        let view = EventView::new(&s);
-        // fine -> coarse ladder: every hop divides the previous window count
-        for (k_fine, k_coarse) in
-            [(1200u64, 600u64), (600, 120), (120, 12), (12, 1), (1200, 12)]
-        {
-            let fine = Timeline::aggregated_from_view(&view, k_fine);
-            assert!(fine.merge_compatible(k_coarse), "{k_fine} -> {k_coarse}");
-            let merged = fine.aggregated_by_merge(k_coarse);
-            let scratch = Timeline::aggregated_from_view(&view, k_coarse);
-            assert_identical(&merged, &scratch, &format!("merge {k_fine} -> {k_coarse}"));
-        }
-        // chained merges compose: 1200 -> 120 -> 12 equals scratch at 12
-        let chained = Timeline::aggregated_from_view(&view, 1200)
-            .aggregated_by_merge(120)
-            .aggregated_by_merge(12);
-        assert_identical(&chained, &Timeline::aggregated(&s, 12), "chained 1200->120->12");
+        assert!(grown(&[("a", "b", 10)]).append_since(&old).unwrap().is_empty());
     }
 
     #[test]
-    fn splice_equals_scratch_across_append_splits() {
-        // base stream + appended suffix under a pinned period [0, 1200]
-        let k = 48u64;
-        let mut base = LinkStreamBuilder::indexed(Directedness::Undirected, 9);
-        base.period(0, 1200);
-        for i in 0..300i64 {
-            base.add_indexed((i * 3 % 9) as u32, (i * 7 % 9) as u32, (i * 11) % 900);
-        }
-        let old = base.clone().build().unwrap();
-        // appends land at t >= 900: windows >= ceil-free index of t=900;
-        // the pair pattern differs from the base, so new pairs interleave
-        // into the sorted pair order and shift the ranks of old pairs
-        let mut grown = base;
-        for i in 0..80i64 {
-            grown.add_indexed((i % 9) as u32, ((i * 5 + 1) % 9) as u32, 900 + (i * 3) % 300);
-        }
-        let new = grown.build().unwrap();
-        assert_eq!((new.t_begin(), new.t_end()), (old.t_begin(), old.t_end()), "pinned");
-        let old_tl = Timeline::aggregated(&old, k);
-        let view = EventView::new(&new);
-        let scratch = Timeline::aggregated_from_view(&view, k);
-        // the tight first_dirty (window of the earliest append) plus
-        // conservative picks down to 0 (the scratch-rebuild degenerate)
-        let tight = new.partition(k).unwrap().index(saturn_linkstream::Time::new(900)) as u32;
-        for fd in [tight, tight / 2, 7, 1, 0] {
-            let spliced = old_tl.spliced_from_view(&view, fd);
-            assert_identical(&spliced, &scratch, &format!("splice first_dirty={fd}"));
-            assert_eq!(spliced, scratch, "PartialEq agrees (first_dirty={fd})");
-        }
-    }
-
-    #[test]
-    fn splice_with_no_dirty_suffix_is_identity() {
-        let s = stream();
-        let view = EventView::new(&s);
-        let t = Timeline::aggregated(&s, 3);
-        // first_dirty == num_steps: the whole timeline is clean prefix
-        assert_identical(&t.spliced_from_view(&view, 3), &t, "no-op splice");
-        assert_eq!(t.spliced_from_view(&view, 3), t);
-    }
-
-    #[test]
-    #[should_panic(expected = "aggregated timelines only")]
-    fn splice_rejects_exact_timelines() {
-        let s = stream();
-        Timeline::exact(&s).spliced_from_view(&EventView::new(&s), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds window count")]
-    fn splice_rejects_out_of_range_first_dirty() {
-        let s = stream();
-        Timeline::aggregated(&s, 3).spliced_from_view(&EventView::new(&s), 4);
-    }
-
-    #[test]
-    fn merge_compatibility_predicate() {
-        let s = stream();
-        let t = Timeline::aggregated(&s, 9);
-        assert!(t.merge_compatible(9)); // ratio 1: trivial clone
-        assert!(t.merge_compatible(3));
-        assert!(t.merge_compatible(1));
-        assert!(!t.merge_compatible(2)); // non-divisor
-        assert!(!t.merge_compatible(4));
-        assert!(!t.merge_compatible(0));
-        assert!(!t.merge_compatible(18)); // refining is not merging
-        assert!(!Timeline::exact(&s).merge_compatible(1)); // exact path never merges
-    }
-
-    #[test]
-    #[should_panic(expected = "not merge-compatible")]
-    fn merge_rejects_non_divisor_ratio() {
-        let s = stream();
-        Timeline::aggregated(&s, 9).aggregated_by_merge(2);
-    }
-
-    #[test]
-    fn merge_ratio_one_is_identity() {
-        let s = stream();
-        let t = Timeline::aggregated(&s, 3);
-        assert_identical(&t.aggregated_by_merge(3), &t, "ratio-1 merge");
-    }
-
-    #[test]
-    fn merge_handles_wide_ratios_through_the_bitmap_union_path() {
-        // >2 non-empty fine steps per coarse window exercises the pair-id
-        // bitmap union; a bursty pair recurring across fine windows inside
-        // one coarse window exercises dedup
-        let mut b = LinkStreamBuilder::indexed(Directedness::Undirected, 6);
-        for i in 0..240i64 {
-            b.add_indexed((i % 5) as u32, 5, i * 5 % 1200);
-            b.add_indexed(0, 1, i * 7 % 1200); // recurrent pair
-        }
-        let s = b.build().unwrap();
-        let view = EventView::new(&s);
-        let fine = Timeline::aggregated_from_view(&view, 1200);
-        for k in [240u64, 48, 8, 2] {
-            let merged = fine.aggregated_by_merge(k);
-            assert_identical(
-                &merged,
-                &Timeline::aggregated_from_view(&view, k),
-                &format!("wide-ratio merge 1200 -> {k}"),
-            );
-        }
-    }
-
-    #[test]
-    fn checksum_distinguishes_different_timelines() {
-        let s = stream();
-        let a = Timeline::aggregated(&s, 3);
-        let b = Timeline::aggregated(&s, 9);
-        assert_ne!(a.checksum(), b.checksum());
-        assert_eq!(a.checksum(), Timeline::aggregated(&s, 3).checksum());
+    fn append_since_rejects_non_extensions() {
+        let old = EventView::new(&pinned(&[("a", "b", 10), ("b", "c", 30)]));
+        // an old event is missing
+        assert!(EventView::new(&pinned(&[("a", "b", 10)])).append_since(&old).is_none());
+        // a fresh-label self-loop interns a node but adds no event
+        let loop_only = pinned(&[("a", "b", 10), ("b", "c", 30), ("z", "z", 10)]);
+        assert_eq!(loop_only.len(), 2);
+        assert!(EventView::new(&loop_only).append_since(&old).is_none());
+        // another study period
+        let mut b = LinkStreamBuilder::new(Directedness::Undirected);
+        b.period(0, 100).add("a", "b", 10).add("b", "c", 30);
+        assert!(EventView::new(&b.build().unwrap()).append_since(&old).is_none());
+        // another directedness
+        let mut b = LinkStreamBuilder::new(Directedness::Directed);
+        b.period(0, 99).add("a", "b", 10).add("b", "c", 30);
+        assert!(EventView::new(&b.build().unwrap()).append_since(&old).is_none());
+        // the view itself is a (trivial) extension
+        assert!(old.append_since(&old).unwrap().is_empty());
     }
 
     #[test]
