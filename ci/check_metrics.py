@@ -5,7 +5,7 @@ The telemetry contract: the exposition parses line by line (`# HELP` /
 `# TYPE` comments and `name[{labels}] value` samples only), every sample
 belongs to a declared family, histograms are internally consistent
 (cumulative buckets never decrease, the `+Inf` bucket equals `_count`),
-and the families the server documents are all present. `--min` assertions
+and the declared families are exactly the ones the server documents. `--min` assertions
 let the smoke job prove specific counters actually moved after its curl
 round-trips — explicit counters, not timing inference.
 
@@ -47,16 +47,7 @@ EXPECTED_FAMILIES = {
     "saturn_jobs_coalesced_total": "counter",
     "saturn_jobs_rejected_total": "counter",
     "saturn_jobs_deadline_rejected_total": "counter",
-    "saturn_shard_queue_depth": "gauge",
-    "saturn_shard_ewma_job_seconds": "gauge",
-    "saturn_shard_jobs_executed_total": "counter",
-    "saturn_shard_jobs_completed_total": "counter",
-    "saturn_shard_jobs_cancelled_total": "counter",
-    "saturn_shard_jobs_panicked_total": "counter",
-    "saturn_shard_jobs_coalesced_total": "counter",
-    "saturn_shard_jobs_rejected_total": "counter",
-    "saturn_shard_jobs_deadline_rejected_total": "counter",
-    "saturn_executor_restarts_total": "counter",
+    "saturn_job_ewma_seconds": "gauge",
     "saturn_stream_sessions_open": "gauge",
     "saturn_stream_sessions_opened_total": "counter",
     "saturn_stream_sessions_expired_total": "counter",
@@ -192,6 +183,8 @@ def check_scrape(text, minimums=()):
             f"{family}: declared {types[family]}, expected {kind}",
         )
         require(family in sampled_families, f"{family}: declared but has no samples")
+    for family in types:
+        require(family in EXPECTED_FAMILIES, f"undocumented family {family}")
     check_histograms(types, samples)
     for spec in minimums:
         key, _, want = spec.rpartition("=")
@@ -225,10 +218,6 @@ def synthetic_scrape(hits=3.0, analyze=4.0, inf_count=2.0):
             lines.append('saturn_requests_total{route="other",status="other"} 0')
         elif family == "saturn_cache_hits_total":
             lines.append(f"saturn_cache_hits_total {hits:g}")
-        elif family.startswith("saturn_shard_") or family == "saturn_executor_restarts_total":
-            # per-shard families are always labeled, one sample per shard
-            lines.append(f'{family}{{shard="0"}} 1')
-            lines.append(f'{family}{{shard="1"}} 0')
         else:
             lines.append(f"{family} 0")
     return "\n".join(lines) + "\n"
@@ -249,8 +238,8 @@ def self_test():
         good,
         minimums=[
             'saturn_requests_total{route="analyze",status="2xx"}=4',
-            'saturn_shard_jobs_executed_total{shard="0"}=1',
-            'saturn_executor_restarts_total{shard="1"}=0',
+            "saturn_cache_hits_total=3",
+            "saturn_job_ewma_seconds=0",
         ],
     )
     # minimum not met
@@ -261,6 +250,13 @@ def self_test():
     )
     # unknown sample name
     expect_failure(good + "mystery_metric 1\n", "without a preceding TYPE")
+    # a declared family the server does not document (a labeled one here)
+    expect_failure(
+        good
+        + "# TYPE saturn_mystery_depth gauge\n"
+        + 'saturn_mystery_depth{queue="0"} 0\n',
+        "undocumented family saturn_mystery_depth",
+    )
     # non-numeric value
     expect_failure(good + "saturn_cache_hits_total x\n", "non-numeric")
     # missing family

@@ -8,17 +8,13 @@
 //! gaps on a deterministic splitmix64 stream) and each request fires at its
 //! absolute slot on the wall clock regardless of how earlier requests are
 //! faring — exactly the arrival pattern under which admission control,
-//! per-shard queues, and `Retry-After` earn their keep.
+//! the bounded queue, and `Retry-After` earn their keep.
 //!
 //! Every response is kept, not just the 200s: latencies are bucketed
 //! per-status through the server's own
 //! [`saturn_server::metrics::Histogram`], so a 503 that came back in 300µs
 //! and a cold 200 that took 80ms land in different rows of the report
 //! instead of averaging into a meaningless blur.
-//!
-//! The same workload runs twice — `--executors 1` and `--executors 2` — so
-//! the JSON shows what a second supervised shard buys under an offered rate
-//! the single executor cannot absorb.
 //!
 //! ```sh
 //! cargo run --release -p saturn-bench --bin bench_load            # full
@@ -87,20 +83,18 @@ fn post_analyze(addr: SocketAddr, target: &str, body: &[u8]) -> (u16, usize) {
     (status, rest.len())
 }
 
-/// Drives the pre-drawn arrival schedule against a fresh server with
-/// `executors` shards; returns the leg's JSON record.
-fn run_leg(
-    executors: usize,
+/// Drives the pre-drawn arrival schedule against a fresh server; returns
+/// the run's JSON fields.
+fn run(
     bodies: &[Arc<String>],
     gaps: &[Duration],
     rate_hz: f64,
     target: &str,
-) -> Value {
+) -> Vec<(&'static str, Value)> {
     let server = Server::bind(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
         queue_depth: 16,
-        executors,
         ..ServerConfig::default()
     })
     .expect("bind");
@@ -138,10 +132,7 @@ fn run_leg(
     let ok = by_status.get(&200).map_or(0, Histogram::count);
     assert!(ok > 0, "the service must complete at least one sweep under load");
 
-    println!(
-        "  executors={executors}: {answered} arrivals at {rate_hz:.0}/s offered, \
-         {wall:.3}s wall, {ok} × 200"
-    );
+    println!("  {answered} arrivals at {rate_hz:.0}/s offered, {wall:.3}s wall, {ok} × 200");
     let statuses: Vec<Value> = by_status
         .iter()
         .map(|(status, latency)| {
@@ -159,14 +150,11 @@ fn run_leg(
             ])
         })
         .collect();
-    obj(vec![
-        ("executors", Value::Int(executors as i128)),
-        ("arrivals", Value::Int(bodies.len() as i128)),
-        ("offered_rate_hz", Value::Float(rate_hz)),
+    vec![
         ("wall_seconds", Value::Float(wall)),
         ("completed_200", Value::Int(ok as i128)),
         ("by_status", Value::Array(statuses)),
-    ])
+    ]
 }
 
 fn main() {
@@ -182,7 +170,7 @@ fn main() {
 
     // the trace pool is rendered before the clock starts: a quarter of the
     // arrivals repeat one hot body (cache hits), the rest cycle `distinct`
-    // cold bodies (full sweeps) — enough compute to back up one executor at
+    // cold bodies (full sweeps) — enough compute to back up the executor at
     // the offered rate
     let hot: Arc<String> = Arc::new(stream_io::to_string(&profile.generate(7)));
     let cold: Vec<Arc<String>> = (0..distinct)
@@ -191,23 +179,21 @@ fn main() {
     let bodies: Vec<Arc<String>> = (0..arrivals)
         .map(|i| if i % 4 == 0 { Arc::clone(&hot) } else { Arc::clone(&cold[i % distinct]) })
         .collect();
-    // one schedule, drawn once, replayed for every leg: the executor counts
-    // see byte- and time-identical offered load
+    // the schedule is drawn up front from a fixed seed: every run sees
+    // byte- and time-identical offered load
     let mut rng = SplitMix(0x10ad_5eed_0ff0_0d00);
     let gaps: Vec<Duration> = (0..arrivals).map(|_| rng.next_exp(rate_hz)).collect();
     let target = format!("/v1/analyze?points={points}&directed=1");
 
-    let legs: Vec<Value> =
-        [1usize, 2].iter().map(|&n| run_leg(n, &bodies, &gaps, rate_hz, &target)).collect();
-
-    let record = obj(vec![
+    let mut fields = vec![
         ("workload", Value::String(profile.name.to_string())),
         ("fast_mode", Value::Bool(fast)),
         ("points", Value::Int(points as i128)),
         ("arrivals", Value::Int(arrivals as i128)),
         ("offered_rate_hz", Value::Float(rate_hz)),
-        ("legs", Value::Array(legs)),
-    ]);
+    ];
+    fields.extend(run(&bodies, &gaps, rate_hz, &target));
+    let record = obj(fields);
     let path = out_dir().join("bench_load.json");
     std::fs::write(&path, record.to_string_pretty()).expect("write bench_load.json");
     println!("  wrote {}", path.display());

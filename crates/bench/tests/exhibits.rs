@@ -36,6 +36,67 @@ fn make_plots_generates_a_script() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs an exhibit binary in fast mode (its built-in paper-fidelity
+/// assertions are the test) and returns its stdout.
+fn run_fast(bin: &str, name: &str) -> String {
+    let out = Command::new(bin)
+        .env("SATURN_FAST", "1")
+        .env(
+            "SATURN_OUT",
+            std::env::temp_dir().join(format!("saturn-{name}-test-{}", std::process::id())),
+        )
+        .output()
+        .expect("runs");
+    assert!(out.status.success(), "{name} failed:\n{}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn fast_mode_fig3_concentrates_at_the_extremes() {
+    let text = run_fast(env!("CARGO_BIN_EXE_fig3_icd_proximity"), "fig3");
+    assert!(text.contains("γ = "), "{text}");
+}
+
+#[test]
+fn fast_mode_fig4_occupancy_rises_to_one() {
+    let text = run_fast(env!("CARGO_BIN_EXE_fig4_icd_others"), "fig4");
+    assert!(text.contains("manufacturing: mean occupancy"), "{text}");
+}
+
+#[test]
+fn fast_mode_fig5_finds_gamma_on_every_stand_in() {
+    let text = run_fast(env!("CARGO_BIN_EXE_fig5_proximity_others"), "fig5");
+    assert!(text.contains("γ(manufacturing) = "), "{text}");
+}
+
+#[test]
+fn fast_mode_fig6_gamma_favors_the_high_activity_mode() {
+    let text = run_fast(env!("CARGO_BIN_EXE_fig6_synthetic"), "fig6");
+    assert!(text.contains("mid-range stays within the high-activity regime (true)"), "{text}");
+}
+
+#[test]
+fn fast_mode_fig7_selection_methods_agree() {
+    let text = run_fast(env!("CARGO_BIN_EXE_fig7_selection"), "fig7");
+    assert!(text.contains("M-K ≈ std-dev ≈ Shannon(10) ≈ CRE: true"), "{text}");
+}
+
+#[test]
+fn fast_mode_fig8_validation_curves_hold() {
+    let text = run_fast(env!("CARGO_BIN_EXE_fig8_validation"), "fig8");
+    assert!(text.contains("loss at γ = "), "{text}");
+}
+
+#[test]
+fn fast_mode_table_gamma_anti_correlates_with_activity() {
+    let text = run_fast(env!("CARGO_BIN_EXE_table_gamma"), "table_gamma");
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("activity/γ anti-correlation"))
+        .unwrap_or_else(|| panic!("no anti-correlation verdict:\n{text}"));
+    assert!(line.ends_with(": true"), "{line}");
+}
+
 #[test]
 fn fast_mode_fig2_runs_with_assertions() {
     let out = Command::new(env!("CARGO_BIN_EXE_fig2_classic"))

@@ -10,7 +10,7 @@
 //! saturn synth <irvine|facebook|enron|manufacturing> [--seed S] [--scale F] [--out FILE]
 //! saturn validate <file> [--directed] [--points N] [--threads N]
 //! saturn stats <file> [--directed] [--json]
-//! saturn serve [--addr A] [--threads N] [--tile N] [--cache-mb M] [--cache-dir DIR] [--cache-disk-mb M] [--queue N] [--executors N|auto] [--default-deadline-ms N] [--drain-secs N] [--stream-ttl-secs N] [--max-streams N]
+//! saturn serve [--addr A] [--threads N] [--tile N] [--cache-mb M] [--cache-dir DIR] [--cache-disk-mb M] [--queue N] [--default-deadline-ms N] [--drain-secs N] [--stream-ttl-secs N] [--max-streams N]
 //! saturn help
 //! ```
 
@@ -91,17 +91,13 @@ USAGE:
                           must be writable, else serve fails fast)
       --cache-disk-mb M   disk spill tier budget in MiB (default 64;
                           0 disables the tier even with --cache-dir)
-      --queue N           per-shard job queue depth before 503 backpressure
+      --queue N           job queue depth before 503 backpressure
                           (default 64)
       --stream-ttl-secs N idle TTL of streaming ingest sessions; sessions
                           untouched this long are evicted and answer 410
                           (default 300)
       --max-streams N     concurrently open ingest sessions before creation
                           gets 503 stream_limit (default 64)
-      --executors N|auto  executor shards, each with its own queue, worker
-                          pool, and supervisor-backed restart (default 1;
-                          auto = min(cores/4, 4)); execution knob only —
-                          report bytes are identical at any count
       --default-deadline-ms N
                           deadline applied to requests that send no
                           ?deadline_ms= (default 0 = none); expired requests
@@ -144,7 +140,6 @@ struct Flags {
     cache_dir: Option<String>,
     cache_disk_mb: usize,
     queue: usize,
-    executors: usize,
     default_deadline_ms: u64,
     drain_secs: u64,
     stream_ttl_secs: u64,
@@ -170,7 +165,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         cache_dir: None,
         cache_disk_mb: 64,
         queue: 64,
-        executors: 1,
         default_deadline_ms: 0,
         drain_secs: 10,
         stream_ttl_secs: 300,
@@ -212,14 +206,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--queue" => {
                 f.queue = value("--queue")?.parse().map_err(|e| format!("--queue: {e}"))?
-            }
-            "--executors" => {
-                // `auto` maps to 0, which the server resolves to
-                // min(cores/4, 4) at bind time
-                f.executors = match value("--executors")?.as_str() {
-                    "auto" => 0,
-                    n => n.parse().map_err(|e| format!("--executors: {e}"))?,
-                }
             }
             "--default-deadline-ms" => {
                 f.default_deadline_ms = value("--default-deadline-ms")?
@@ -381,7 +367,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         cache_dir: f.cache_dir.as_ref().map(std::path::PathBuf::from),
         cache_disk_bytes: f.cache_disk_mb << 20,
         queue_depth: f.queue,
-        executors: f.executors,
         default_deadline_ms: f.default_deadline_ms,
         drain_secs: f.drain_secs,
         stream_ttl: std::time::Duration::from_secs(f.stream_ttl_secs),
@@ -395,13 +380,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // the resolved address from here
     println!("saturn-server listening on http://{addr}");
     println!(
-        "  threads={} executors={} cache={}MiB disk={} queue={} deadline={} drain={}s  (POST /v1/analyze | /v1/validate | /v1/stats | /v1/streams, GET /v1/jobs/<id> | /v1/health | /v1/metrics)",
+        "  threads={} cache={}MiB disk={} queue={} deadline={} drain={}s  (POST /v1/analyze | /v1/validate | /v1/stats | /v1/streams, GET /v1/jobs/<id> | /v1/health | /v1/metrics)",
         if f.threads == 0 { "auto".to_string() } else { f.threads.to_string() },
-        if f.executors == 0 {
-            format!("auto({})", saturn_server::auto_executors())
-        } else {
-            f.executors.to_string()
-        },
         f.cache_mb,
         match &f.cache_dir {
             Some(dir) if f.cache_disk_mb > 0 => format!("{}MiB@{dir}", f.cache_disk_mb),
@@ -527,13 +507,9 @@ mod tests {
     }
 
     #[test]
-    fn executors_flag_parses_counts_and_auto() {
-        assert_eq!(flags(&[]).unwrap().executors, 1);
-        assert_eq!(flags(&["--executors", "4"]).unwrap().executors, 4);
-        // `auto` becomes 0, resolved by the server to min(cores/4, 4)
-        assert_eq!(flags(&["--executors", "auto"]).unwrap().executors, 0);
-        assert!(flags(&["--executors", "lots"]).unwrap_err().contains("--executors"));
-        assert!(flags(&["--executors"]).unwrap_err().contains("--executors"));
+    fn retired_executors_flag_is_rejected() {
+        let err = flags(&["--executors", "2"]).unwrap_err();
+        assert!(err.contains("unexpected argument `--executors`"), "{err}");
     }
 
     #[test]

@@ -1067,8 +1067,8 @@ mod tests {
     fn refresh_of_an_inconsistent_snapshot_falls_back_to_scratch() {
         // simulates the executor race: a refresh of an OLDER snapshot
         // executes after a refresh of a newer one already advanced the
-        // cache (concurrent refreshes of one session can land on different
-        // shards and run out of submission order)
+        // cache (concurrent refreshes of one session cut their snapshots
+        // before queueing, so they can run out of snapshot order)
         let (old, new) = ring_with_appends(30);
         let method =
             OccupancyMethod::new().grid(SweepGrid::Geometric { points: 10 }).refine(1, 3);

@@ -74,8 +74,15 @@ impl WorkerPool {
     /// Creates a pool with `threads` total parallelism (0 = all available
     /// cores). The calling thread participates in every round, so
     /// `threads - 1` OS threads are spawned; `threads <= 1` spawns none and
-    /// every map runs inline.
+    /// every map runs inline. Panics if a worker thread cannot spawn; see
+    /// [`WorkerPool::try_new`].
     pub fn new(threads: usize) -> Self {
+        Self::try_new(threads).expect("cannot spawn sweep worker")
+    }
+
+    /// [`WorkerPool::new`], returning a thread-spawn failure instead of
+    /// panicking. Workers spawned before the failure are stopped and joined.
+    pub fn try_new(threads: usize) -> std::io::Result<Self> {
         let parallelism = resolve_threads(threads);
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
@@ -88,16 +95,17 @@ impl WorkerPool {
             work_available: Condvar::new(),
             round_done: Condvar::new(),
         });
-        let workers = (0..parallelism.saturating_sub(1))
-            .map(|wid| {
-                let shared = Arc::clone(&shared);
+        // on a failed spawn, dropping `pool` shuts down the workers so far
+        let mut pool = WorkerPool { shared, workers: Vec::new(), parallelism };
+        for wid in 0..parallelism.saturating_sub(1) {
+            let shared = Arc::clone(&pool.shared);
+            pool.workers.push(
                 std::thread::Builder::new()
                     .name(format!("saturn-sweep-{wid}"))
-                    .spawn(move || worker_loop(&shared, wid))
-                    .expect("cannot spawn sweep worker")
-            })
-            .collect();
-        WorkerPool { shared, workers, parallelism }
+                    .spawn(move || worker_loop(&shared, wid))?,
+            );
+        }
+        Ok(pool)
     }
 
     /// Total parallelism (spawned workers + calling thread); worker ids

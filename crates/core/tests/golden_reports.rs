@@ -5,12 +5,17 @@
 //! geometric grid (default refinement), as a directed and as an undirected
 //! stream, under all and sampled targets. A seeded three-batch append
 //! sequence is also refreshed through one `SweepCache`, and each refresh's
-//! report is pinned. A change that moves report bytes on purpose must
+//! report is pinned. The validation sweep (`/v1/validate`, `saturn
+//! validate`) is pinned per generator and directedness on the same grid,
+//! as the pretty JSON the service serves. A change that moves report bytes on purpose must
 //! update these digests in the same commit and say why.
 
 use saturn_core::fingerprint::{hex, Digest};
 use saturn_core::parallel::WorkerPool;
-use saturn_core::{OccupancyMethod, SweepCache, SweepControl, SweepGrid, TargetSpec};
+use saturn_core::{
+    validation_sweep_on, OccupancyMethod, SweepCache, SweepControl, SweepGrid, TargetSpec,
+    ValidationOptions,
+};
 use saturn_linkstream::{Directedness, LinkStream, LinkStreamBuilder};
 use saturn_synth::{ContactModel, DatasetProfile, TimeUniform, TwoMode};
 
@@ -110,6 +115,24 @@ const SCRATCH: &[(&str, &str)] = &[
     ("manufacturing/u/sampled", "2d5d801425a5d72f344f8f07309ebf6d"),
 ];
 
+/// `(case, digest)` pins of the validation sweeps.
+const VALIDATE: &[(&str, &str)] = &[
+    ("time_uniform/d", "6f0b6d2f7825c6f442454a6132a24ec0"),
+    ("time_uniform/u", "94633c4db1343aacccbf1f72f274de49"),
+    ("two_mode/d", "4407b4c1651de30cbc47b8e1e267ca32"),
+    ("two_mode/u", "299d4d769b7f8f384d064210fc4c0b88"),
+    ("contacts/d", "b01fd975c2b963feaf77450e60833f2d"),
+    ("contacts/u", "bdc9005c06ec0679ba674163e6ec0318"),
+    ("irvine/d", "178bd4edd21a94d7de95c4f5338e7c4c"),
+    ("irvine/u", "dc3685bd4f288164cf4db3efe1480e48"),
+    ("facebook/d", "1506dd151e5568b07c6a207af59790b0"),
+    ("facebook/u", "683f46415d8445ff898c6da64f28bbe8"),
+    ("enron/d", "f36389fda923aa5758a6716b057fbe6f"),
+    ("enron/u", "0114beafed47048787446ebe11b969ca"),
+    ("manufacturing/d", "c9f308dedf5d9042e226681a5c852e82"),
+    ("manufacturing/u", "74b7a78105e3c4c6d07629517a67ee98"),
+];
+
 /// `(case, digest)` pins of the refreshes of the append sequence.
 const REFRESH: &[(&str, &str)] = &[
     ("append/all/0", "fa5169691928b9c963ebe89c7729bdca"),
@@ -148,6 +171,26 @@ fn scratch_reports_match_their_pins() {
         }
     }
     check(SCRATCH, &got);
+}
+
+#[test]
+fn validation_reports_match_their_pins() {
+    let mut pool = WorkerPool::new(2);
+    let grid = SweepGrid::Geometric { points: 8 };
+    let options = ValidationOptions::default();
+    let mut got = Vec::new();
+    for (name, stream) in generators() {
+        for (dir, directedness) in
+            [("d", Directedness::Directed), ("u", Directedness::Undirected)]
+        {
+            let stream = as_directedness(&stream, directedness);
+            let report =
+                validation_sweep_on(&stream, &grid, TargetSpec::All, &options, &mut pool);
+            let json = serde_json::to_string_pretty(&report).unwrap();
+            got.push((format!("{name}/{dir}"), digest(&json)));
+        }
+    }
+    check(VALIDATE, &got);
 }
 
 /// A deterministic pseudo-random sequence (splitmix64).

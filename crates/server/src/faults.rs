@@ -16,12 +16,6 @@
 //! panic:<site>:<probability>     panic at the site (caught like real ones)
 //! slow:<site>:<millis>[ms]       sleep before the site's work
 //! cancel_race:<probability>      fire a job's own cancel token as it starts
-//! executor_die:<probability>     panic OUTSIDE catch_unwind as a job is
-//!                                popped — kills the executor thread itself,
-//!                                exercising supervisor restart
-//! executor_stall:<site>:<millis>[ms]  wedge the executor before the site's
-//!                                work: an uncancellable sleep that ignores
-//!                                tokens, exercising stall supervision
 //! disk_write_err:<probability>   fail a disk-tier spill write with an I/O
 //!                                error (trips the circuit breaker)
 //! disk_full:<probability>        fail a spill write as if the disk were
@@ -35,7 +29,7 @@
 //!
 //! Sites: `analyze`, `validate` (specific job kinds), `job` / `sweep` (any
 //! job), `parse` (HTTP request parsing). Example:
-//! `panic:analyze:0.1,slow:sweep:250ms,cancel_race:1,executor_die:0.05`.
+//! `panic:analyze:0.1,slow:sweep:250ms,cancel_race:1`.
 //!
 //! Probabilities are evaluated on a deterministic splitmix64 sequence so a
 //! given plan misbehaves the same way on every run.
@@ -86,8 +80,6 @@ pub struct FaultPlan {
     panics: Vec<(FaultSite, f64)>,
     slows: Vec<(FaultSite, Duration)>,
     cancel_race: f64,
-    executor_die: f64,
-    stalls: Vec<(FaultSite, Duration)>,
     disk_write_err: f64,
     disk_full: f64,
     disk_corrupt: f64,
@@ -102,8 +94,6 @@ impl FaultPlan {
             panics: Vec::new(),
             slows: Vec::new(),
             cancel_race: 0.0,
-            executor_die: 0.0,
-            stalls: Vec::new(),
             disk_write_err: 0.0,
             disk_full: 0.0,
             disk_corrupt: 0.0,
@@ -126,14 +116,6 @@ impl FaultPlan {
                 }
                 "cancel_race" => {
                     plan.cancel_race = parse_probability(parts.next(), directive)?;
-                }
-                "executor_die" => {
-                    plan.executor_die = parse_probability(parts.next(), directive)?;
-                }
-                "executor_stall" => {
-                    let site = parse_site(parts.next().unwrap_or_default())?;
-                    let pause = parse_millis(parts.next(), directive)?;
-                    plan.stalls.push((site, pause));
                 }
                 "disk_write_err" => {
                     plan.disk_write_err = parse_probability(parts.next(), directive)?;
@@ -158,8 +140,7 @@ impl FaultPlan {
                 other => {
                     return Err(format!(
                         "unknown fault directive `{other}` (expected \
-                         panic|slow|cancel_race|executor_die|executor_stall|\
-                         disk_write_err|disk_full|disk_corrupt|disk_slow|seed)"
+                         panic|slow|cancel_race|disk_write_err|disk_full|disk_corrupt|disk_slow|seed)"
                     ));
                 }
             }
@@ -183,9 +164,7 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.panics.is_empty()
             && self.slows.is_empty()
-            && self.stalls.is_empty()
             && self.cancel_race <= 0.0
-            && self.executor_die <= 0.0
             && self.disk_write_err <= 0.0
             && self.disk_full <= 0.0
             && self.disk_corrupt <= 0.0
@@ -233,23 +212,6 @@ impl FaultPlan {
     /// Whether this job's own cancel token should fire as it starts.
     pub fn cancel_race(&self) -> bool {
         self.chance(self.cancel_race)
-    }
-
-    /// Whether the executor thread itself should die (panic outside its
-    /// `catch_unwind`) while popping the current job. The supervisor then
-    /// finalizes the in-flight job as a `500` and respawns the shard.
-    pub fn executor_die(&self) -> bool {
-        self.chance(self.executor_die)
-    }
-
-    /// How long the executor should wedge (an uncancellable sleep that
-    /// ignores tokens) before running a job at `site`, if any
-    /// `executor_stall` directive covers it. Stalls sum when several cover
-    /// the same site, mirroring [`FaultPlan::maybe_slow`].
-    pub fn executor_stall(&self, site: FaultSite) -> Option<Duration> {
-        let total: Duration =
-            self.stalls.iter().filter(|(s, _)| s.covers(site)).map(|&(_, pause)| pause).sum();
-        (total > Duration::ZERO).then_some(total)
     }
 
     /// Whether a disk-tier spill write should fail with a generic I/O error.
@@ -338,9 +300,6 @@ mod tests {
         assert!(FaultPlan::parse("slow:job:fast").is_err());
         assert!(FaultPlan::parse("panic:job:1.5").is_err());
         assert!(FaultPlan::parse("panic:job:0.5:extra").is_err());
-        assert!(FaultPlan::parse("executor_die:2").is_err());
-        assert!(FaultPlan::parse("executor_stall:job").is_err());
-        assert!(FaultPlan::parse("executor_stall:parse:10ms:extra").is_err());
         assert!(FaultPlan::parse("disk_write_err:1.5").is_err());
         assert!(FaultPlan::parse("disk_slow:soon").is_err());
         assert!(FaultPlan::parse("disk_corrupt:0.5:extra").is_err());
@@ -367,14 +326,14 @@ mod tests {
 
     #[test]
     fn executor_directives_parse_and_fire() {
-        let plan = FaultPlan::parse("executor_die:1,executor_stall:job:75ms").unwrap();
+        // the directives the executor consults around each job
+        let plan = FaultPlan::parse("cancel_race:1,slow:job:1ms,panic:job:1").unwrap();
         assert!(!plan.is_empty());
-        assert!(plan.executor_die());
-        assert_eq!(plan.executor_stall(FaultSite::Analyze), Some(Duration::from_millis(75)));
-        assert_eq!(plan.executor_stall(FaultSite::Parse), None);
-        let quiet = FaultPlan::parse("panic:parse:0.5").unwrap();
-        assert!(!quiet.executor_die());
-        assert_eq!(quiet.executor_stall(FaultSite::Job), None);
+        assert!(plan.cancel_race());
+        plan.maybe_slow(FaultSite::Analyze); // sleeps 1ms; must return
+        let fired = std::panic::catch_unwind(|| plan.maybe_panic(FaultSite::Validate));
+        assert!(fired.is_err(), "panic:job covers every job kind");
+        plan.maybe_panic(FaultSite::Parse); // not covered: must not panic
     }
 
     #[test]

@@ -1,46 +1,37 @@
-//! The deadline-aware job system: fingerprint-partitioned shards — each a
-//! bounded queue drained by its own executor thread owning its own
-//! [`WorkerPool`], watched by its own deadline watchdog — under one
-//! supervisor thread that restarts dead executors and unwedges stalled
-//! ones.
+//! The deadline-aware job system: one bounded queue drained by one executor
+//! thread that owns the [`WorkerPool`], watched by one watchdog thread that
+//! enforces deadlines and cancels stalled jobs.
 //!
 //! Design points:
 //!
-//! * **Sharded executors.** `--executors N` creates N shards; a submission
-//!   routes by `fingerprint % N` (or `job_id % N` when no fingerprint),
-//!   so coalescing still works — equal fingerprints always land on the
-//!   same shard and attach to the same in-flight job. The executor count
-//!   never enters fingerprints or report bytes: shard choice affects only
-//!   *where* a sweep runs, never *what* it computes.
-//! * **One pool per shard, many connections.** `WorkerPool::map` takes
-//!   `&mut self` (one round in flight per pool), so sweeps are serialized
-//!   through their shard's executor thread, which owns that shard's pool —
-//!   each sweep then fans out across the shard's pool workers. Connection
-//!   threads never spawn workers; they enqueue and wait. Total `--threads`
-//!   parallelism is split evenly across shards.
-//! * **Supervised recovery.** A supervisor thread watches every shard. An
-//!   executor that dies (a panic escaping `catch_unwind`, e.g. a poisoned
-//!   pool, or the `executor_die` fault) is restarted with capped
-//!   exponential backoff; its in-flight job is finalized as a structured
-//!   `500` carrying partial progress and its queued jobs are preserved for
-//!   the replacement. A shard making no sweep progress past the stall
-//!   budget first gets its running job token-cancelled
-//!   ([`CancelCause::Stalled`]); if it ignores the token for another
-//!   budget, the wedged thread is abandoned and the shard restarted — one
-//!   hostile request cannot freeze unrelated traffic.
-//! * **Bounded queues, 503 backpressure — per shard.**
-//!   [`JobManager::submit_with`] refuses work beyond the configured depth
-//!   *on the routed shard*, while the server is draining, and — admission
-//!   control — when that shard's own EWMA-based wait estimate already
-//!   exceeds the request's deadline. Every [`Reject`] maps to `503` with a
-//!   `Retry-After` hint derived from the routed shard's backlog, so a busy
-//!   shard cannot inflate (or mask) another shard's estimate.
-//! * **Deadlines are enforced, not advisory.** Per-shard watchdog threads
-//!   finalize queued jobs whose deadline passes as structured `504`s
-//!   without executing them, and fire the [`CancelToken`] of a running job
-//!   past its deadline; the sweep stops cooperatively at its next tile /
-//!   DP stride poll and reports partial progress (`scales_done` /
+//! * **One pool, many connections.** `WorkerPool::map` takes `&mut self`
+//!   (one round in flight per pool), so sweeps are serialized through the
+//!   executor thread, which owns the pool and its whole `--threads` budget —
+//!   each sweep then fans out across every pool worker. Connection threads
+//!   never spawn workers; they enqueue and wait. The pool is built before
+//!   the executor starts, so a thread-spawn failure is an error from
+//!   [`JobManager::with_config`], never a job system without an executor.
+//! * **Panics stay inside the job.** Every job runs under `catch_unwind`: a
+//!   panicking sweep (worker panics propagate out of `pool.map`, and the
+//!   pool stays usable) finalizes as a structured `500 panicked` and the
+//!   executor moves on to the next job.
+//! * **Bounded queue, 503 backpressure.** [`JobManager::submit_with`]
+//!   refuses work beyond the configured depth, while the server is
+//!   draining, and — admission control — when the EWMA-based wait estimate
+//!   already exceeds the request's deadline. Every [`Reject`] maps to `503`
+//!   with a `Retry-After` hint derived from the backlog.
+//! * **Deadlines are enforced, not advisory.** The watchdog finalizes
+//!   queued jobs whose deadline passes as structured `504`s without
+//!   executing them, and fires the [`CancelToken`] of a running job past
+//!   its deadline; the sweep stops cooperatively at its next tile / DP
+//!   stride poll and reports partial progress (`scales_done` /
 //!   `scales_total`). Cancelled jobs never populate the response cache.
+//! * **Stalls are cancelled, not restarted.** The same watchdog fires the
+//!   token of a running job that finishes no scale for the stall budget
+//!   ([`CancelCause::Stalled`], a `504 stalled`). A job that ignores its
+//!   token simply finishes late; queued jobs behind it still expire on
+//!   their own deadlines. The watchdog sleeps until the nearest deadline or
+//!   stall check and never polls on a fixed tick.
 //! * **In-flight coalescing.** Jobs carry the request's content
 //!   fingerprint; a submission whose fingerprint matches a queued or
 //!   running job attaches to it instead of recomputing, so N concurrent
@@ -52,9 +43,9 @@
 //!   returns it immediately and `GET /v1/jobs/<id>` polls (or blocks with
 //!   `?wait=1`) for the outcome. Finished jobs are retained up to
 //!   [`RETAINED_JOBS`] before the oldest are dropped.
-//! * **Drain joins every shard.** Lame-duck drain stops admission, waits
-//!   for all shards to go idle within the shared budget, then cuts every
-//!   shard's queue and cancels every shard's running job.
+//! * **Drain.** Lame-duck drain stops admission, waits for the queue and
+//!   the running job within its budget, then cuts the queue and cancels the
+//!   running job.
 //! * **Spill-on-complete ordering.** A completing job populates the cache
 //!   from inside its work closure on the executor thread, which *enqueues*
 //!   the disk spill (see [`crate::persist`]) before the outcome publishes
@@ -81,36 +72,21 @@ use std::time::{Duration, Instant};
 /// forgotten.
 pub const RETAINED_JOBS: usize = 512;
 
-/// Default liveness budget: a running job making no sweep progress for
-/// this long is token-cancelled; for twice this long, its executor is
-/// abandoned and the shard restarted.
+/// Default stall budget: a running job that finishes no scale for this
+/// long is token-cancelled.
 pub const DEFAULT_STALL_BUDGET: Duration = Duration::from_secs(300);
 
-/// Smoothing factor for the per-shard EWMA of job service seconds (weight
-/// of the newest sample).
+/// Smoothing factor for the EWMA of job service seconds (weight of the
+/// newest sample).
 const EWMA_ALPHA: f64 = 0.3;
 
 /// How long a drain waits for a cancelled straggler to observe its token
 /// after the drain budget itself is spent.
 const DRAIN_GRACE: Duration = Duration::from_secs(30);
 
-/// Supervisor polling cadence for shard liveness.
-const SUPERVISOR_TICK: Duration = Duration::from_millis(10);
-
-/// First restart delay after an executor death; doubles per consecutive
-/// death up to [`RESTART_BACKOFF_CAP`].
-const RESTART_BACKOFF_BASE: Duration = Duration::from_millis(100);
-
-/// Ceiling on the exponential restart backoff.
-const RESTART_BACKOFF_CAP: Duration = Duration::from_secs(5);
-
-/// A shard healthy for this long after a restart has its backoff streak
-/// forgiven.
-const RESTART_STREAK_RESET: Duration = Duration::from_secs(30);
-
-/// The work of one job: runs on its shard's executor thread against that
-/// shard's pool and its own [`JobCtx`], returns the HTTP status and
-/// serialized body of the outcome.
+/// The work of one job: runs on the executor thread against the pool and
+/// its own [`JobCtx`], returns the HTTP status and serialized body of the
+/// outcome.
 pub type JobWork = Box<dyn FnOnce(&mut WorkerPool, &JobCtx) -> JobOutcome + Send>;
 
 /// Terminal result of a job, served verbatim to every attached client.
@@ -131,12 +107,12 @@ pub enum CancelCause {
     Drain,
     /// A fault-injection directive fired the token.
     Injected,
-    /// The supervisor saw no sweep progress past the stall budget.
+    /// The watchdog saw no sweep progress for the stall budget.
     Stalled,
 }
 
 /// Per-job cancellation and progress context, shared between the executor,
-/// the watchdog, the supervisor, and waiting request handlers.
+/// the watchdog, and waiting request handlers.
 #[derive(Debug)]
 pub struct JobCtx {
     /// Cancel token + progress counters threaded into the sweep.
@@ -175,7 +151,7 @@ impl JobCtx {
             1 => "deadline exceeded",
             2 => "cancelled: server draining",
             3 => "cancelled: injected fault",
-            4 => "cancelled: executor stalled",
+            4 => "cancelled: stalled with no sweep progress",
             _ => "cancelled",
         }
     }
@@ -201,10 +177,10 @@ impl JobCtx {
     }
 }
 
-/// The JSON body of a `504` (or of a client-side deadline expiry, or of a
-/// supervisor-finalized `500`): the standard [`crate::error_envelope`]
-/// carrying partial progress in whole scales. Cancellations are retryable
-/// by definition — the request itself was fine.
+/// The JSON body of a `504` (or of a client-side deadline expiry): the
+/// standard [`crate::error_envelope`] carrying partial progress in whole
+/// scales. Cancellations are retryable by definition — the request itself
+/// was fine.
 pub fn timeout_body(code: &str, error: &str, scales_done: u64, scales_total: u64) -> String {
     crate::error_envelope(code, error, true, Some((scales_done, scales_total)))
 }
@@ -233,27 +209,25 @@ impl JobKind {
 /// Lifecycle of a job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum JobPhase {
-    /// Waiting in its shard's queue.
+    /// Waiting in the queue.
     Queued,
-    /// Executing on its shard's pool.
+    /// Executing on the pool.
     Running,
     /// Finished; the outcome is available.
     Done,
 }
 
 /// `submit` refusal. Every variant maps to `503` with a `Retry-After`
-/// hint computed from the routed shard's own backlog.
+/// hint computed from the backlog.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Reject {
-    /// The routed shard's bounded queue is at capacity.
+    /// The bounded queue is at capacity.
     QueueFull {
-        /// Suggested client backoff, from the shard's EWMA backlog
-        /// estimate.
+        /// Suggested client backoff, from the EWMA backlog estimate.
         retry_after_secs: u32,
     },
-    /// Admission control: the routed shard's estimated queue wait already
-    /// exceeds the request's deadline, so executing it would only waste
-    /// the pool.
+    /// Admission control: the estimated queue wait already exceeds the
+    /// request's deadline, so executing it would only waste the pool.
     WouldExpire {
         /// The wait estimate that exceeded the deadline.
         estimated_wait_ms: u64,
@@ -271,47 +245,19 @@ struct JobRecord {
     ctx: Arc<JobCtx>,
     deadline: Option<Instant>,
     kind: JobKind,
-    /// The shard this job routed to (fixed at submission).
-    shard: usize,
     /// When the job entered the queue — the executor turns this into the
     /// `saturn_queue_wait_seconds` sample when it pops the job.
     queued_at: Instant,
 }
 
-/// Everything one shard owns: its queue, its running slot, its EWMA, and
-/// the liveness bookkeeping the supervisor reads.
-struct ShardState {
-    queue: VecDeque<(u64, JobWork)>,
-    running: Option<u64>,
-    /// `(scales_done, observed_at)` of the running job the last time the
-    /// supervisor saw its progress move — no movement past the stall
-    /// budget means the shard is wedged.
-    progress_mark: Option<(u64, Instant)>,
-    /// Whether the stall escalation already fired the running job's token.
-    stall_fired: bool,
-    /// EWMA of this shard's job service seconds (0 until its first job
-    /// finishes).
-    ewma_secs: f64,
-    /// Bumped by the supervisor on every restart; an executor whose spawn
-    /// generation no longer matches is a zombie and must discard its work.
-    generation: u64,
-}
-
-impl ShardState {
-    fn new() -> ShardState {
-        ShardState {
-            queue: VecDeque::new(),
-            running: None,
-            progress_mark: None,
-            stall_fired: false,
-            ewma_secs: 0.0,
-            generation: 0,
-        }
-    }
-}
-
 struct State {
-    shards: Vec<ShardState>,
+    queue: VecDeque<(u64, JobWork)>,
+    /// The job on the executor, if any.
+    running: Option<u64>,
+    /// `(scales_done, since)` of the running job: the count the watchdog
+    /// last saw and when it first saw it. A whole stall budget past `since`
+    /// with the same count means the job is stalled.
+    progress_mark: Option<(u64, Instant)>,
     jobs: HashMap<u64, JobRecord>,
     /// fingerprint → id of the queued/running job computing it.
     inflight: HashMap<u128, u64>,
@@ -324,81 +270,31 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    /// One per shard: pokes that shard's executor when its queue grows.
-    work_available: Vec<Condvar>,
+    /// Pokes the executor when the queue grows (and at shutdown).
+    work_available: Condvar,
     job_done: Condvar,
-    /// One per shard: pokes that shard's watchdog whenever its set of
-    /// armed deadlines changes.
-    deadlines_changed: Vec<Condvar>,
-    /// Pokes the supervisor out of its tick sleep at shutdown.
-    supervisor_wake: Condvar,
+    /// Pokes the watchdog whenever its next wake-up may have moved earlier.
+    watchdog_wake: Condvar,
     /// Lifecycle counters (executed / completed / cancelled / panicked /
-    /// coalesced / rejected / deadline_rejected — aggregate and per
-    /// shard), the queue-depth gauges, and the queue-wait and sweep
-    /// histograms. `/v1/health`'s [`JobStats`] is a view over these same
-    /// atomics, mutated only while `state`'s lock is held.
+    /// coalesced / rejected / deadline_rejected), the queue-depth and EWMA
+    /// gauges, and the queue-wait and sweep histograms. `/v1/health`'s
+    /// [`JobStats`] is a view over these same atomics, mutated only while
+    /// `state`'s lock is held.
     metrics: Arc<Metrics>,
     /// Fault-injection plan consulted at the executor seams.
     faults: Option<Arc<FaultPlan>>,
-    /// Pool parallelism per shard (the `--threads` total split evenly).
-    pool_threads: usize,
-    /// Liveness budget for stall supervision (zero disables it).
+    /// Stall budget of the watchdog (zero disables stall cancellation).
     stall_budget: Duration,
 }
 
-/// Mirrors every shard queue length into the registry gauges (per-shard
-/// and aggregate); call after any queue mutation, while the state lock is
-/// held.
-fn sync_queue_gauges(state: &State, metrics: &Metrics) {
-    let mut total = 0;
-    for (shard, s) in state.shards.iter().enumerate() {
-        metrics.shard(shard).queue_depth.set(s.queue.len() as u64);
-        total += s.queue.len();
-    }
-    metrics.queue_depth.set(total as u64);
-}
-
-/// One shard's slice of [`JobStats`], serialized into `/v1/health`'s
-/// `shards` array. Summing any counter over shards yields the matching
-/// aggregate counter.
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct ShardStats {
-    /// Shard index (submissions route by `fingerprint % executors`).
-    pub shard: usize,
-    /// Jobs currently queued on this shard.
-    pub queued: usize,
-    /// Jobs currently executing on this shard's pool (0 or 1).
-    pub running: usize,
-    /// Jobs this shard executed to completion (any outcome).
-    pub executed: u64,
-    /// Jobs that finished with their own outcome.
-    pub completed: u64,
-    /// Jobs cancelled by deadline, drain, stall, or injected fault.
-    pub cancelled: u64,
-    /// Jobs whose work panicked — including executor deaths finalized by
-    /// the supervisor (`500`s).
-    pub panicked: u64,
-    /// Submissions attached to an in-flight duplicate on this shard.
-    pub coalesced: u64,
-    /// Submissions refused with any [`Reject`] while routed here.
-    pub rejected: u64,
-    /// Refusals by deadline admission control specifically.
-    pub deadline_rejected: u64,
-    /// Times the supervisor restarted this shard's executor.
-    pub restarts: u64,
-    /// EWMA of this shard's job service seconds.
-    pub ewma_job_secs: f64,
-}
-
-/// Queue counters, serialized into `/v1/health`. Aggregate counters equal
-/// the sums of the corresponding [`ShardStats`] fields.
+/// Queue counters, serialized into `/v1/health`.
 #[derive(Clone, Debug, Serialize)]
 pub struct JobStats {
-    /// Jobs currently queued (not yet running), over all shards.
+    /// Jobs currently queued (not yet running).
     pub queued: usize,
-    /// Configured queue bound (per shard).
+    /// Configured queue bound.
     pub queue_depth: usize,
-    /// Jobs currently executing (0 ..= executors).
+    /// Jobs currently executing (0 or 1).
     pub running: usize,
     /// Jobs executed to completion (any outcome).
     pub executed: u64,
@@ -408,7 +304,7 @@ pub struct JobStats {
     /// Jobs cancelled by deadline, drain, stall, or injected fault
     /// (`504`s).
     pub cancelled: u64,
-    /// Jobs whose work panicked, including executor deaths (`500`s).
+    /// Jobs whose work panicked (`500`s).
     pub panicked: u64,
     /// Submissions attached to an in-flight duplicate.
     pub coalesced: u64,
@@ -416,15 +312,9 @@ pub struct JobStats {
     pub rejected: u64,
     /// Refusals by deadline admission control specifically.
     pub deadline_rejected: u64,
-    /// Mean of the nonzero per-shard EWMAs of job service seconds (0
-    /// until the first job finishes anywhere).
+    /// EWMA of job service seconds (0 until the first job finishes) — the
+    /// `saturn_job_ewma_seconds` gauge.
     pub ewma_job_secs: f64,
-    /// Number of shards / executor threads.
-    pub executors: usize,
-    /// Total supervisor restarts over all shards.
-    pub executor_restarts: u64,
-    /// Per-shard breakdown; sums equal the aggregates above.
-    pub shards: Vec<ShardStats>,
 }
 
 /// Outcome of [`JobManager::wait_until`].
@@ -445,76 +335,44 @@ pub enum WaitOutcome {
     Unknown,
 }
 
-/// Everything [`JobManager::with_config`] needs to lay out the shards.
+/// Everything [`JobManager::with_config`] needs.
 #[derive(Clone, Debug)]
 pub struct JobsConfig {
-    /// Total pool parallelism across all shards (0 = all cores), split
-    /// evenly per shard.
+    /// Pool parallelism (0 = all cores).
     pub threads: usize,
-    /// Queue bound per shard.
+    /// Queue bound.
     pub queue_depth: usize,
-    /// Shard / executor count (0 = [`auto_executors`]).
-    pub executors: usize,
-    /// Liveness budget for stall supervision
-    /// ([`DEFAULT_STALL_BUDGET`]; zero disables stall supervision).
+    /// Stall budget of the watchdog ([`DEFAULT_STALL_BUDGET`]; zero
+    /// disables stall cancellation).
     pub stall_budget: Duration,
     /// Fault-injection plan consulted at the executor seams.
     pub faults: Option<Arc<FaultPlan>>,
 }
 
 impl JobsConfig {
-    /// Defaults: one executor, the default stall budget, no faults.
+    /// Defaults: the default stall budget, no faults.
     pub fn new(threads: usize, queue_depth: usize) -> JobsConfig {
-        JobsConfig {
-            threads,
-            queue_depth,
-            executors: 1,
-            stall_budget: DEFAULT_STALL_BUDGET,
-            faults: None,
-        }
+        JobsConfig { threads, queue_depth, stall_budget: DEFAULT_STALL_BUDGET, faults: None }
     }
 }
 
-/// The `--executors auto` policy: one executor per four cores, clamped to
-/// [1, 4].
-pub fn auto_executors() -> usize {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    (cores / 4).clamp(1, 4)
-}
-
-/// Splits the `--threads` total evenly across shards: with one shard the
-/// pool gets the whole budget verbatim (0 still means "all cores" inside
-/// `WorkerPool`); with several, 0 is resolved to the core count first so
-/// the shards cannot each claim every core.
-fn pool_threads_per_shard(total: usize, executors: usize) -> usize {
-    if executors <= 1 {
-        return total;
-    }
-    let total = if total == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        total
-    };
-    (total / executors).max(1)
-}
-
-/// Owner of the supervisor, executor, and watchdog threads and the job
-/// table.
+/// Owner of the executor and watchdog threads and the job table.
 pub struct JobManager {
     shared: Arc<Shared>,
     queue_depth: usize,
     /// Threaded into every job's [`SweepControl`]: folds tile spans into
     /// the registry and mirrors them to stderr under `SATURN_TRACE=json`.
     observer: Arc<dyn SweepObserver>,
-    supervisor: Option<JoinHandle<()>>,
-    watchdogs: Vec<JoinHandle<()>>,
+    /// The executor and the watchdog, joined on drop.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl JobManager {
-    /// One shard with a pool of `threads` total parallelism (0 = all
-    /// cores) and a queue bounded at `queue_depth` waiting jobs.
+    /// A pool of `threads` parallelism (0 = all cores) and a queue bounded
+    /// at `queue_depth` waiting jobs. Panics if the threads cannot spawn.
     pub fn new(threads: usize, queue_depth: usize) -> Self {
         Self::with_config(JobsConfig::new(threads, queue_depth), None)
+            .expect("cannot start the job system")
     }
 
     /// [`JobManager::new`] with a fault-injection plan consulted at the
@@ -526,28 +384,26 @@ impl JobManager {
     ) -> Self {
         let mut config = JobsConfig::new(threads, queue_depth);
         config.faults = faults;
-        Self::with_config(config, None)
+        Self::with_config(config, None).expect("cannot start the job system")
     }
 
-    /// Lays out `config.executors` shards (0 = [`auto_executors`]) and
-    /// starts the supervisor (which spawns the executors) plus one
-    /// watchdog per shard. `metrics` is the shared registry where
-    /// `/v1/metrics` and `/v1/health` must agree — it must have been built
-    /// with [`Metrics::with_shards`] for the same executor count; `None`
-    /// builds a private, correctly sized one.
-    pub fn with_config(config: JobsConfig, metrics: Option<Arc<Metrics>>) -> Self {
-        let executors = if config.executors == 0 { auto_executors() } else { config.executors };
-        let metrics = metrics.unwrap_or_else(|| Arc::new(Metrics::with_shards(executors)));
-        assert_eq!(
-            metrics.shards().len(),
-            executors,
-            "metrics registry sized for a different executor count"
-        );
+    /// Builds the pool, then starts the executor that owns it and the
+    /// watchdog. Any thread-spawn failure, the pool's workers included, is
+    /// returned here. `metrics` is the shared registry where `/v1/metrics`
+    /// and `/v1/health` must agree; `None` builds a private one.
+    pub fn with_config(
+        config: JobsConfig,
+        metrics: Option<Arc<Metrics>>,
+    ) -> std::io::Result<Self> {
+        let metrics = metrics.unwrap_or_default();
         let observer: Arc<dyn SweepObserver> =
             Arc::new(MetricsSweepObserver::new(Arc::clone(&metrics), json_trace_from_env()));
+        let pool = WorkerPool::try_new(config.threads)?;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                shards: (0..executors).map(|_| ShardState::new()).collect(),
+                queue: VecDeque::new(),
+                running: None,
+                progress_mark: None,
                 jobs: HashMap::new(),
                 inflight: HashMap::new(),
                 finished: VecDeque::new(),
@@ -555,38 +411,34 @@ impl JobManager {
                 draining: false,
                 shutdown: false,
             }),
-            work_available: (0..executors).map(|_| Condvar::new()).collect(),
+            work_available: Condvar::new(),
             job_done: Condvar::new(),
-            deadlines_changed: (0..executors).map(|_| Condvar::new()).collect(),
-            supervisor_wake: Condvar::new(),
+            watchdog_wake: Condvar::new(),
             metrics,
             faults: config.faults,
-            pool_threads: pool_threads_per_shard(config.threads, executors),
             stall_budget: config.stall_budget,
         });
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("saturn-supervisor".into())
-                .spawn(move || supervisor_loop(&shared))
-                .expect("cannot spawn job supervisor")
-        };
-        let watchdogs = (0..executors)
-            .map(|shard| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("saturn-watchdog-{shard}"))
-                    .spawn(move || watchdog_loop(&shared, shard))
-                    .expect("cannot spawn deadline watchdog")
-            })
-            .collect();
-        JobManager {
+        // if a spawn fails, dropping `manager` stops and joins whatever
+        // already started
+        let mut manager = JobManager {
             shared,
             queue_depth: config.queue_depth,
             observer,
-            supervisor: Some(supervisor),
-            watchdogs,
-        }
+            threads: Vec::with_capacity(2),
+        };
+        let shared = Arc::clone(&manager.shared);
+        manager.threads.push(
+            std::thread::Builder::new()
+                .name("saturn-executor".into())
+                .spawn(move || executor_loop(&shared, pool))?,
+        );
+        let shared = Arc::clone(&manager.shared);
+        manager.threads.push(
+            std::thread::Builder::new()
+                .name("saturn-watchdog".into())
+                .spawn(move || watchdog_loop(&shared))?,
+        );
+        Ok(manager)
     }
 
     /// Enqueues `work` with no deadline; see [`JobManager::submit_with`].
@@ -594,16 +446,13 @@ impl JobManager {
         self.submit_with(fingerprint, None, JobKind::Other, 0, work)
     }
 
-    /// Routes to a shard by `fingerprint % executors` (`job_id %
-    /// executors` without one) and enqueues `work` there, or attaches to
-    /// an in-flight job computing the same `fingerprint` (always on the
-    /// same shard, by construction). Returns the job id to wait on, or a
-    /// [`Reject`] when the server is draining, the shard's queue is full,
-    /// or — with a `deadline` — the shard's EWMA wait estimate already
-    /// exceeds it. A deadline also arms the shard's watchdog for the job
-    /// itself; `scales_hint` pre-seeds the progress total so even a job
-    /// cancelled before its sweep starts reports a meaningful
-    /// `scales_total`.
+    /// Enqueues `work`, or attaches to an in-flight job computing the same
+    /// `fingerprint`. Returns the job id to wait on, or a [`Reject`] when
+    /// the server is draining, the queue is full, or — with a `deadline` —
+    /// the EWMA wait estimate already exceeds it. A deadline also arms the
+    /// watchdog for the job itself; `scales_hint` pre-seeds the progress
+    /// total so even a job cancelled before its sweep starts reports a
+    /// meaningful `scales_total`.
     pub fn submit_with(
         &self,
         fingerprint: Option<u128>,
@@ -614,14 +463,8 @@ impl JobManager {
     ) -> Result<u64, Reject> {
         let metrics = &self.shared.metrics;
         let mut state = self.shared.state.lock().expect("job state poisoned");
-        let executors = state.shards.len();
-        let shard = match fingerprint {
-            Some(key) => (key % executors as u128) as usize,
-            None => (state.next_id % executors as u64) as usize,
-        };
         if state.draining || state.shutdown {
             metrics.jobs_rejected.inc();
-            metrics.shard(shard).rejected.inc();
             return Err(Reject::Draining);
         }
         if let Some(key) = fingerprint {
@@ -633,26 +476,22 @@ impl JobManager {
                 let doomed = state.jobs.get(&id).map(|r| r.ctx.is_cancelled()).unwrap_or(false);
                 if !doomed {
                     metrics.jobs_coalesced.inc();
-                    metrics.shard(shard).coalesced.inc();
                     return Ok(id);
                 }
             }
         }
-        if state.shards[shard].queue.len() >= self.queue_depth {
+        if state.queue.len() >= self.queue_depth {
             metrics.jobs_rejected.inc();
-            metrics.shard(shard).rejected.inc();
-            return Err(Reject::QueueFull { retry_after_secs: retry_secs(&state, shard) });
+            return Err(Reject::QueueFull { retry_after_secs: retry_secs(&state, metrics) });
         }
         if let Some(budget) = deadline {
-            let estimated = estimated_wait(&state, shard);
+            let estimated = estimated_wait(&state, metrics);
             if estimated > budget {
                 metrics.jobs_rejected.inc();
-                metrics.shard(shard).rejected.inc();
                 metrics.jobs_deadline_rejected.inc();
-                metrics.shard(shard).deadline_rejected.inc();
                 return Err(Reject::WouldExpire {
                     estimated_wait_ms: estimated.as_millis() as u64,
-                    retry_after_secs: retry_secs(&state, shard),
+                    retry_after_secs: retry_secs(&state, metrics),
                 });
             }
         }
@@ -670,19 +509,18 @@ impl JobManager {
                 ctx,
                 deadline: deadline_at,
                 kind,
-                shard,
                 queued_at: Instant::now(),
             },
         );
         if let Some(key) = fingerprint {
             state.inflight.insert(key, id);
         }
-        state.shards[shard].queue.push_back((id, work));
-        sync_queue_gauges(&state, metrics);
+        state.queue.push_back((id, work));
+        metrics.queue_depth.set(state.queue.len() as u64);
         drop(state);
-        self.shared.work_available[shard].notify_one();
+        self.shared.work_available.notify_one();
         if deadline_at.is_some() {
-            self.shared.deadlines_changed[shard].notify_all();
+            self.shared.watchdog_wake.notify_one();
         }
         Ok(id)
     }
@@ -739,18 +577,16 @@ impl JobManager {
         }
     }
 
-    /// Stops admitting work and waits up to `budget` for every shard's
-    /// backlog to finish (the supervisor keeps restarting dead executors
-    /// during the drain, so queued work still makes progress). Whatever is
-    /// still queued on any shard when the budget runs out is finalized as
-    /// a drain `504` without executing; still-running jobs have their
-    /// tokens fired and get a short grace period to stop at their next
+    /// Stops admitting work and waits up to `budget` for the queue and the
+    /// running job to finish. Whatever is still queued when the budget runs
+    /// out is finalized as a drain `504` without executing; a still-running
+    /// job has its token fired and gets a grace period to stop at its next
     /// cancellation poll. Returns the final stats.
     pub fn drain(&self, budget: Duration) -> JobStats {
         let give_up = Instant::now() + budget;
         let mut state = self.shared.state.lock().expect("job state poisoned");
         state.draining = true;
-        while !shards_idle(&state) {
+        while !idle(&state) {
             let now = Instant::now();
             if now >= give_up {
                 break;
@@ -762,33 +598,26 @@ impl JobManager {
                 .expect("job state poisoned")
                 .0;
         }
-        if !shards_idle(&state) {
-            for shard in 0..state.shards.len() {
-                let cut: Vec<u64> =
-                    state.shards[shard].queue.iter().map(|(id, _)| *id).collect();
-                state.shards[shard].queue.clear();
-                for id in cut {
-                    finalize_cancelled(
-                        &mut state,
-                        &self.shared.metrics,
-                        id,
-                        CancelCause::Drain,
-                    );
-                }
-                if let Some(id) = state.shards[shard].running {
-                    if let Some(job) = state.jobs.get(&id) {
-                        job.ctx.cancel(CancelCause::Drain);
-                    }
-                }
+        if !idle(&state) {
+            let cut: Vec<u64> = state.queue.drain(..).map(|(id, _)| id).collect();
+            for id in cut {
+                finalize_cancelled(&mut state, &self.shared.metrics, id, CancelCause::Drain);
             }
-            sync_queue_gauges(&state, &self.shared.metrics);
+            self.shared.metrics.queue_depth.set(0);
+            if let Some(job) = state.running.and_then(|id| state.jobs.get(&id)) {
+                job.ctx.cancel(CancelCause::Drain);
+            }
             self.shared.job_done.notify_all();
             let grace = Instant::now() + DRAIN_GRACE;
-            while state.shards.iter().any(|s| s.running.is_some()) && Instant::now() < grace {
+            while state.running.is_some() {
+                let now = Instant::now();
+                if now >= grace {
+                    break;
+                }
                 state = self
                     .shared
                     .job_done
-                    .wait_timeout(state, Duration::from_millis(50))
+                    .wait_timeout(state, grace - now)
                     .expect("job state poisoned")
                     .0;
             }
@@ -803,44 +632,18 @@ impl JobManager {
     }
 }
 
-fn shards_idle(state: &State) -> bool {
-    state.shards.iter().all(|s| s.queue.is_empty() && s.running.is_none())
+fn idle(state: &State) -> bool {
+    state.queue.is_empty() && state.running.is_none()
 }
 
 /// [`JobStats`] as a view over the registry counters — the `/v1/health`
 /// numbers ARE the `/v1/metrics` numbers, snapshotted under the state
-/// lock. Per-shard rows sum to the aggregates.
+/// lock.
 fn stats_of(state: &State, metrics: &Metrics, queue_depth: usize) -> JobStats {
-    let shards: Vec<ShardStats> = state
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(shard, s)| {
-            let m = metrics.shard(shard);
-            ShardStats {
-                shard,
-                queued: s.queue.len(),
-                running: usize::from(s.running.is_some()),
-                executed: m.executed.get(),
-                completed: m.completed.get(),
-                cancelled: m.cancelled.get(),
-                panicked: m.panicked.get(),
-                coalesced: m.coalesced.get(),
-                rejected: m.rejected.get(),
-                deadline_rejected: m.deadline_rejected.get(),
-                restarts: m.restarts.get(),
-                ewma_job_secs: s.ewma_secs,
-            }
-        })
-        .collect();
-    let seeded: Vec<f64> =
-        state.shards.iter().map(|s| s.ewma_secs).filter(|&e| e > 0.0).collect();
-    let ewma_job_secs =
-        if seeded.is_empty() { 0.0 } else { seeded.iter().sum::<f64>() / seeded.len() as f64 };
     JobStats {
-        queued: shards.iter().map(|s| s.queued).sum(),
+        queued: state.queue.len(),
         queue_depth,
-        running: shards.iter().map(|s| s.running).sum(),
+        running: usize::from(state.running.is_some()),
         executed: metrics.jobs_executed.get(),
         completed: metrics.jobs_completed.get(),
         cancelled: metrics.jobs_cancelled.get(),
@@ -848,29 +651,23 @@ fn stats_of(state: &State, metrics: &Metrics, queue_depth: usize) -> JobStats {
         coalesced: metrics.jobs_coalesced.get(),
         rejected: metrics.jobs_rejected.get(),
         deadline_rejected: metrics.jobs_deadline_rejected.get(),
-        ewma_job_secs,
-        executors: state.shards.len(),
-        executor_restarts: shards.iter().map(|s| s.restarts).sum(),
-        shards,
+        ewma_job_secs: metrics.job_ewma_seconds.get(),
     }
 }
 
-/// EWMA estimate of how long a job newly queued on `shard` waits before
-/// it starts: one full service time per job ahead of it on that shard
-/// (queued + running). Zero until the shard's first job finishes — an
-/// idle new shard admits everything.
-fn estimated_wait(state: &State, shard: usize) -> Duration {
-    let s = &state.shards[shard];
-    let backlog = s.queue.len() + usize::from(s.running.is_some());
-    Duration::from_secs_f64(s.ewma_secs * backlog as f64)
+/// EWMA estimate of how long a newly queued job waits before it starts:
+/// one full service time per job ahead of it (queued + running). Zero
+/// until the first job finishes — a fresh server admits everything.
+fn estimated_wait(state: &State, metrics: &Metrics) -> Duration {
+    let backlog = state.queue.len() + usize::from(state.running.is_some());
+    Duration::from_secs_f64(metrics.job_ewma_seconds.get() * backlog as f64)
 }
 
-/// `Retry-After` hint: the routed shard's backlog estimate plus one of
-/// its service times (the retry joins behind the current backlog),
-/// clamped to [1s, 1h].
-fn retry_secs(state: &State, shard: usize) -> u32 {
+/// `Retry-After` hint: the backlog estimate plus one service time (the
+/// retry joins behind the current backlog), clamped to [1s, 1h].
+fn retry_secs(state: &State, metrics: &Metrics) -> u32 {
     let secs =
-        (estimated_wait(state, shard).as_secs_f64() + state.shards[shard].ewma_secs).ceil();
+        (estimated_wait(state, metrics).as_secs_f64() + metrics.job_ewma_seconds.get()).ceil();
     secs.clamp(1.0, 3600.0) as u32
 }
 
@@ -885,9 +682,7 @@ fn finalize_cancelled(state: &mut State, metrics: &Metrics, id: u64, cause: Canc
     job.phase = JobPhase::Done;
     job.outcome = Some(job.ctx.cancelled_outcome());
     let fingerprint = job.fingerprint;
-    let shard = job.shard;
     metrics.jobs_cancelled.inc();
-    metrics.shard(shard).cancelled.inc();
     retire(state, id, fingerprint);
 }
 
@@ -906,115 +701,73 @@ fn retire(state: &mut State, id: u64, fingerprint: Option<u128>) {
     }
 }
 
-fn spawn_executor(shared: &Arc<Shared>, shard: usize, generation: u64) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name(format!("saturn-executor-{shard}"))
-        .spawn(move || executor_loop(&shared, shard, generation))
-        .expect("cannot spawn shard executor")
-}
-
-fn executor_loop(shared: &Shared, shard: usize, generation: u64) {
-    // This incarnation's pool (and its per-worker DP arenas): spawned
-    // fresh per executor lifetime, so a restart never inherits a possibly
-    // poisoned pool from its predecessor.
-    let mut pool = WorkerPool::new(shared.pool_threads);
+/// Runs queued jobs in FIFO order on `pool`, each under `catch_unwind`,
+/// until shutdown.
+fn executor_loop(shared: &Shared, mut pool: WorkerPool) {
     loop {
         let (id, work, ctx, kind) = {
             let mut state = shared.state.lock().expect("job state poisoned");
             loop {
-                if state.shutdown || state.shards[shard].generation != generation {
+                if state.shutdown {
                     return;
                 }
-                if let Some((id, work)) = state.shards[shard].queue.pop_front() {
+                if let Some((id, work)) = state.queue.pop_front() {
                     let job = state.jobs.get_mut(&id).expect("queued job recorded");
                     job.phase = JobPhase::Running;
-                    let ctx = Arc::clone(&job.ctx);
-                    let kind = job.kind;
+                    let (ctx, kind) = (Arc::clone(&job.ctx), job.kind);
                     shared.metrics.queue_wait_seconds.observe(job.queued_at.elapsed());
-                    let done = ctx.control.progress.snapshot().0;
-                    let s = &mut state.shards[shard];
-                    s.running = Some(id);
-                    s.progress_mark = Some((done, Instant::now()));
-                    s.stall_fired = false;
-                    sync_queue_gauges(&state, &shared.metrics);
+                    state.running = Some(id);
+                    state.progress_mark =
+                        Some((ctx.control.progress.snapshot().0, Instant::now()));
+                    shared.metrics.queue_depth.set(state.queue.len() as u64);
                     break (id, work, ctx, kind);
                 }
-                state = shared.work_available[shard].wait(state).expect("job state poisoned");
+                state = shared.work_available.wait(state).expect("job state poisoned");
             }
         };
-        // the running job's deadline is now the watchdog's to track
-        shared.deadlines_changed[shard].notify_all();
-        if let Some(plan) = &shared.faults {
-            if plan.executor_die() {
-                // deliberately OUTSIDE catch_unwind: this kills the
-                // executor thread itself, exercising supervisor restart
-                panic!("injected executor death (shard {shard})");
-            }
-            if let Some(pause) = plan.executor_stall(kind.site()) {
-                // an uncancellable wedge: ignores tokens entirely,
-                // exercising stall supervision
-                std::thread::sleep(pause);
-                let state = shared.state.lock().expect("job state poisoned");
-                if state.shards[shard].generation != generation {
-                    // the supervisor gave up on us mid-stall and already
-                    // finalized the job; a zombie must not touch it
-                    return;
-                }
-            }
-            if plan.cancel_race() {
-                // adversarial schedule: the token fires before the sweep
-                // even starts; the job must still finalize cleanly
-                ctx.cancel(CancelCause::Injected);
-            }
-        }
+        // the running job's deadline and stall budget are now the
+        // watchdog's to track
+        shared.watchdog_wake.notify_one();
         let started = Instant::now();
-        // Worker panics propagate out of `pool.map`; catch them so one
-        // poisoned trace cannot take the shard down.
+        // Worker panics propagate out of `pool.map` (which stays usable);
+        // catch them so one poisoned trace cannot take the executor down.
         let caught = catch_unwind(AssertUnwindSafe(|| {
             if let Some(plan) = &shared.faults {
+                if plan.cancel_race() {
+                    // adversarial schedule: the token fires before the
+                    // sweep even starts; the job must still finalize cleanly
+                    ctx.cancel(CancelCause::Injected);
+                }
                 plan.maybe_slow(kind.site());
                 plan.maybe_panic(kind.site());
             }
             work(&mut pool, &ctx)
         }));
-        let elapsed = started.elapsed().as_secs_f64();
+        let elapsed = started.elapsed();
+        shared.metrics.sweep_seconds.observe(elapsed);
         let panicked = caught.is_err();
         let outcome = caught.unwrap_or_else(|_| JobOutcome {
             status: 500,
             body: Arc::from(crate::error_envelope("panicked", "analysis panicked", true, None)),
         });
-        shared.metrics.sweep_seconds.observe(Duration::from_secs_f64(elapsed));
         let mut state = shared.state.lock().expect("job state poisoned");
-        if state.shards[shard].generation != generation {
-            // abandoned as stalled while the work ran: the supervisor
-            // already finalized this job as a 500 and a replacement
-            // executor owns the shard — discard the late result and exit
-            return;
-        }
-        {
-            let s = &mut state.shards[shard];
-            s.ewma_secs = if s.ewma_secs == 0.0 {
-                elapsed
-            } else {
-                EWMA_ALPHA * elapsed + (1.0 - EWMA_ALPHA) * s.ewma_secs
-            };
-            shared.metrics.shard(shard).ewma_job_seconds.set(s.ewma_secs);
-            s.running = None;
-            s.progress_mark = None;
-            s.stall_fired = false;
-        }
+        let ewma = &shared.metrics.job_ewma_seconds;
+        let secs = elapsed.as_secs_f64();
+        let previous = ewma.get();
+        ewma.set(if previous == 0.0 {
+            secs
+        } else {
+            EWMA_ALPHA * secs + (1.0 - EWMA_ALPHA) * previous
+        });
+        state.running = None;
+        state.progress_mark = None;
         shared.metrics.jobs_executed.inc();
-        shared.metrics.shard(shard).executed.inc();
         if panicked {
             shared.metrics.jobs_panicked.inc();
-            shared.metrics.shard(shard).panicked.inc();
         } else if outcome.status == 504 {
             shared.metrics.jobs_cancelled.inc();
-            shared.metrics.shard(shard).cancelled.inc();
         } else {
             shared.metrics.jobs_completed.inc();
-            shared.metrics.shard(shard).completed.inc();
         }
         let job = state.jobs.get_mut(&id).expect("running job recorded");
         job.phase = JobPhase::Done;
@@ -1023,190 +776,22 @@ fn executor_loop(shared: &Shared, shard: usize, generation: u64) {
         retire(&mut state, id, fingerprint);
         drop(state);
         shared.job_done.notify_all();
-        shared.deadlines_changed[shard].notify_all();
     }
 }
 
-/// Supervisor bookkeeping for one shard's executor thread.
-struct ExecutorSlot {
-    /// Live (or just-finished) executor handle; `None` while waiting out
-    /// a restart backoff, or after a wedged thread was abandoned.
-    handle: Option<JoinHandle<()>>,
-    /// Consecutive restarts without [`RESTART_STREAK_RESET`] of health.
-    restart_streak: u32,
-    last_restart: Option<Instant>,
-    /// When the backoff expires and a replacement may spawn.
-    respawn_at: Option<Instant>,
-}
-
-/// Capped exponential backoff: 100ms, 200ms, 400ms, … up to 5s.
-fn backoff_for(streak: u32) -> Duration {
-    let doublings = streak.saturating_sub(1).min(16);
-    RESTART_BACKOFF_BASE.saturating_mul(1 << doublings).min(RESTART_BACKOFF_CAP)
-}
-
-/// Hands `shard` to a fresh executor generation: bumps the generation (so
-/// the old incarnation, if still somehow alive, becomes a zombie and
-/// discards its work), finalizes the in-flight job as a structured `500`
-/// carrying partial progress, and counts the restart. Queued jobs are
-/// untouched — the replacement executor inherits them. Returns whether a
-/// job was finalized (the caller then notifies waiters).
-fn restart_shard(state: &mut State, metrics: &Metrics, shard: usize, error: &str) -> bool {
-    let s = &mut state.shards[shard];
-    s.generation += 1;
-    let running = s.running.take();
-    s.progress_mark = None;
-    s.stall_fired = false;
-    metrics.shard(shard).restarts.inc();
-    let Some(id) = running else { return false };
-    let Some(job) = state.jobs.get_mut(&id) else { return false };
-    if job.outcome.is_some() {
-        return false;
-    }
-    // fire the token too: a wedged-but-alive zombie thread should stop at
-    // its next poll instead of burning its abandoned pool forever
-    job.ctx.cancel(CancelCause::Stalled);
-    let (done, total) = job.ctx.control.progress.snapshot();
-    job.phase = JobPhase::Done;
-    job.outcome = Some(JobOutcome {
-        status: 500,
-        body: Arc::from(timeout_body("executor_failed", error, done, total)),
-    });
-    let fingerprint = job.fingerprint;
-    metrics.jobs_executed.inc();
-    metrics.shard(shard).executed.inc();
-    metrics.jobs_panicked.inc();
-    metrics.shard(shard).panicked.inc();
-    retire(state, id, fingerprint);
-    true
-}
-
-/// Spawns every shard's executor, then watches them: a dead executor
-/// (panic escaped `catch_unwind`) is reaped and its shard restarted with
-/// capped exponential backoff; a shard whose running job makes no sweep
-/// progress for the stall budget has the job token-cancelled, and for
-/// twice the budget has its wedged thread abandoned and the shard
-/// restarted. Keeps supervising during drain so queued work still makes
-/// progress behind a crash.
-fn supervisor_loop(shared: &Arc<Shared>) {
-    let executors = shared.work_available.len();
-    let mut slots: Vec<ExecutorSlot> = (0..executors)
-        .map(|shard| ExecutorSlot {
-            handle: Some(spawn_executor(shared, shard, 0)),
-            restart_streak: 0,
-            last_restart: None,
-            respawn_at: None,
-        })
-        .collect();
-    let mut state = shared.state.lock().expect("job state poisoned");
-    loop {
-        if state.shutdown {
-            break;
-        }
-        let now = Instant::now();
-        let mut finalized = false;
-        for (shard, slot) in slots.iter_mut().enumerate() {
-            if slot
-                .last_restart
-                .is_some_and(|at| now.duration_since(at) >= RESTART_STREAK_RESET)
-            {
-                slot.restart_streak = 0;
-                slot.last_restart = None;
-            }
-            if slot.handle.as_ref().is_some_and(|h| h.is_finished()) {
-                // executor death: reap the corpse, salvage the shard
-                let corpse = slot.handle.take().expect("checked above");
-                let _ = corpse.join();
-                finalized |= restart_shard(
-                    &mut state,
-                    &shared.metrics,
-                    shard,
-                    "executor died; restarting shard",
-                );
-                slot.restart_streak += 1;
-                slot.last_restart = Some(now);
-                slot.respawn_at = Some(now + backoff_for(slot.restart_streak));
-            } else if slot.handle.is_some() && shared.stall_budget > Duration::ZERO {
-                if let Some(id) = state.shards[shard].running {
-                    if let Some(done) =
-                        state.jobs.get(&id).map(|j| j.ctx.control.progress.snapshot().0)
-                    {
-                        let s = &mut state.shards[shard];
-                        let idle = match s.progress_mark {
-                            Some((mark, since)) if mark == done => now.duration_since(since),
-                            _ => {
-                                s.progress_mark = Some((done, now));
-                                Duration::ZERO
-                            }
-                        };
-                        if idle >= shared.stall_budget.saturating_mul(2) {
-                            // the job ignored its token for a whole extra
-                            // budget: abandon the wedged thread (never
-                            // joined; it exits as a zombie on its own) and
-                            // hand the shard to a fresh executor + pool
-                            slot.handle = None;
-                            finalized |= restart_shard(
-                                &mut state,
-                                &shared.metrics,
-                                shard,
-                                "executor stalled; restarting shard",
-                            );
-                            slot.restart_streak += 1;
-                            slot.last_restart = Some(now);
-                            slot.respawn_at = Some(now + backoff_for(slot.restart_streak));
-                        } else if idle >= shared.stall_budget
-                            && !state.shards[shard].stall_fired
-                        {
-                            if let Some(job) = state.jobs.get(&id) {
-                                job.ctx.cancel(CancelCause::Stalled);
-                            }
-                            state.shards[shard].stall_fired = true;
-                        }
-                    }
-                }
-            }
-            if slot.handle.is_none() {
-                if let Some(at) = slot.respawn_at {
-                    if now >= at {
-                        let generation = state.shards[shard].generation;
-                        slot.handle = Some(spawn_executor(shared, shard, generation));
-                        slot.respawn_at = None;
-                        shared.work_available[shard].notify_all();
-                    }
-                }
-            }
-        }
-        if finalized {
-            shared.job_done.notify_all();
-        }
-        state = shared
-            .supervisor_wake
-            .wait_timeout(state, SUPERVISOR_TICK)
-            .expect("job state poisoned")
-            .0;
-    }
-    drop(state);
-    // shutdown: executors observe the flag at their next pop and return
-    for slot in &mut slots {
-        if let Some(handle) = slot.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Enforces deadlines on one shard: queued jobs past theirs are finalized
-/// as `504`s without executing; a running job past its own has its token
-/// fired (the executor then finalizes the cancelled outcome). Sleeps
-/// until the shard's nearest armed deadline, re-checking whenever the set
-/// changes.
-fn watchdog_loop(shared: &Shared, shard: usize) {
+/// Enforces deadlines and the stall budget: queued jobs past their deadline
+/// are finalized as `504`s without executing; the running job has its
+/// token fired (the executor then finalizes the cancelled outcome). Sleeps
+/// until the nearest deadline or stall check, or until woken when there is
+/// neither.
+fn watchdog_loop(shared: &Shared) {
     let mut state = shared.state.lock().expect("job state poisoned");
     loop {
         if state.shutdown {
             return;
         }
         let now = Instant::now();
-        let expired: Vec<u64> = state.shards[shard]
+        let expired: Vec<u64> = state
             .queue
             .iter()
             .filter(|(id, _)| {
@@ -1215,48 +800,61 @@ fn watchdog_loop(shared: &Shared, shard: usize) {
             .map(|(id, _)| *id)
             .collect();
         if !expired.is_empty() {
-            state.shards[shard].queue.retain(|(id, _)| !expired.contains(id));
-            sync_queue_gauges(&state, &shared.metrics);
+            state.queue.retain(|(id, _)| !expired.contains(id));
+            shared.metrics.queue_depth.set(state.queue.len() as u64);
             for id in expired {
                 finalize_cancelled(&mut state, &shared.metrics, id, CancelCause::Deadline);
             }
             shared.job_done.notify_all();
         }
-        if let Some(id) = state.shards[shard].running {
-            if let Some(job) = state.jobs.get(&id) {
-                if job.deadline.is_some_and(|at| at <= now) {
-                    job.ctx.cancel(CancelCause::Deadline);
-                }
-            }
-        }
-        let next_deadline = state.shards[shard]
+        let queued_deadline = state
             .queue
             .iter()
             .filter_map(|(id, _)| state.jobs.get(id).and_then(|job| job.deadline))
-            .chain(state.shards[shard].running.and_then(|id| {
-                state.jobs.get(&id).and_then(|job| {
-                    // a running job whose token already fired needs no
-                    // further watchdog attention
-                    if job.ctx.control.cancel.is_cancelled() {
-                        None
-                    } else {
-                        job.deadline
-                    }
-                })
-            }))
             .min();
-        state = match next_deadline {
-            None => shared.deadlines_changed[shard].wait(state).expect("job state poisoned"),
+        let wake = queued_deadline
+            .into_iter()
+            .chain(check_running(&mut state, shared.stall_budget, now))
+            .min();
+        state = match wake {
+            None => shared.watchdog_wake.wait(state).expect("job state poisoned"),
             Some(at) => {
                 let pause =
                     at.saturating_duration_since(Instant::now()).max(Duration::from_millis(1));
-                shared.deadlines_changed[shard]
-                    .wait_timeout(state, pause)
-                    .expect("job state poisoned")
-                    .0
+                shared.watchdog_wake.wait_timeout(state, pause).expect("job state poisoned").0
             }
         };
     }
+}
+
+/// Fires the running job's token once its deadline passes or it finishes
+/// no scale for a whole stall budget. Returns when the job next needs a
+/// look: `None` when nothing runs or its token already fired.
+fn check_running(state: &mut State, stall_budget: Duration, now: Instant) -> Option<Instant> {
+    let job = state.jobs.get(&state.running?)?;
+    if job.ctx.control.cancel.is_cancelled() {
+        return None;
+    }
+    if job.deadline.is_some_and(|at| at <= now) {
+        job.ctx.cancel(CancelCause::Deadline);
+        return None;
+    }
+    if stall_budget.is_zero() {
+        return job.deadline;
+    }
+    let done = job.ctx.control.progress.snapshot().0;
+    let since = match state.progress_mark {
+        Some((mark, since)) if mark == done => since,
+        _ => now,
+    };
+    if now.duration_since(since) >= stall_budget {
+        job.ctx.cancel(CancelCause::Stalled);
+        return None;
+    }
+    let stall_check = since + stall_budget;
+    let next = job.deadline.map_or(stall_check, |at| at.min(stall_check));
+    state.progress_mark = Some((done, since));
+    Some(next)
 }
 
 impl Drop for JobManager {
@@ -1264,19 +862,11 @@ impl Drop for JobManager {
         {
             let mut state = self.shared.state.lock().expect("job state poisoned");
             state.shutdown = true;
-            for cv in &self.shared.work_available {
-                cv.notify_all();
-            }
-            for cv in &self.shared.deadlines_changed {
-                cv.notify_all();
-            }
-            self.shared.supervisor_wake.notify_all();
+            self.shared.work_available.notify_all();
+            self.shared.watchdog_wake.notify_all();
         }
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
-        for watchdog in self.watchdogs.drain(..) {
-            let _ = watchdog.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }
@@ -1337,8 +927,6 @@ mod tests {
         let stats = jobs.stats();
         assert_eq!(stats.executed, 1);
         assert_eq!(stats.completed, 1);
-        assert_eq!(stats.executors, 1);
-        assert_eq!(stats.executor_restarts, 0);
         assert!(stats.ewma_job_secs >= 0.0);
     }
 
@@ -1404,13 +992,11 @@ mod tests {
         let stats = jobs.stats();
         assert_eq!(stats.panicked, 1);
         assert_eq!(stats.completed, 1);
-        assert_eq!(stats.executor_restarts, 0, "a caught panic needs no restart");
     }
 
-    /// Clients key on `error.code`: every code the cancellation and
-    /// supervisor paths emit must be exactly one from the crate-docs
-    /// registry table, carried in the standard envelope with partial
-    /// progress.
+    /// Clients key on `error.code`: every code the cancellation paths emit
+    /// must be exactly one from the crate-docs registry table, carried in
+    /// the standard envelope with partial progress.
     #[test]
     fn emitted_error_codes_match_the_documented_registry() {
         for (cause, code) in [
@@ -1704,185 +1290,84 @@ mod tests {
     }
 
     #[test]
-    fn executor_death_finalizes_inflight_as_500_and_preserves_queue() {
-        let plan = Arc::new(FaultPlan::parse("executor_die:1").unwrap());
-        let jobs = JobManager::with_faults(1, 8, Some(plan));
-        let first = jobs.submit(None, Box::new(|_pool, _ctx| ok("first"))).unwrap();
-        let second = jobs.submit(None, Box::new(|_pool, _ctx| ok("second"))).unwrap();
-        // every pop kills the executor, so BOTH jobs are finalized by the
-        // supervisor: the first as the in-flight casualty, the second after
-        // surviving the restart in the preserved queue (then killing the
-        // replacement too)
-        let out_first = jobs.wait(first).expect("in-flight job is finalized by the supervisor");
-        assert_eq!(out_first.status, 500);
-        assert!(out_first.body.contains("executor died"), "body: {}", out_first.body);
-        // supervisor finalizations carry the registered code + progress
-        let v: serde_json::Value = serde_json::from_str(&out_first.body).unwrap();
-        assert_eq!(v["error"]["code"].as_str(), Some("executor_failed"));
-        assert!(v["error"]["scales_total"].as_u64().is_some());
-        let out_second =
-            jobs.wait(second).expect("queued job survives the restart and reports");
-        assert_eq!(out_second.status, 500);
-        assert!(out_second.body.contains("executor died"), "body: {}", out_second.body);
+    fn stalled_job_is_cancelled_as_504_and_the_next_job_runs() {
+        let mut config = JobsConfig::new(1, 8);
+        config.stall_budget = Duration::from_millis(40);
+        let jobs = JobManager::with_config(config, None).unwrap();
+        let id = jobs
+            .submit_with(
+                None,
+                None,
+                JobKind::Other,
+                6,
+                Box::new(|_pool, ctx| {
+                    // cooperative but stuck: polls its token, finishes no
+                    // scale
+                    while !ctx.is_cancelled() {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    ctx.cancelled_outcome()
+                }),
+            )
+            .unwrap();
+        let outcome = jobs.wait(id).expect("stalled job reports");
+        assert_eq!(outcome.status, 504);
+        let v: serde_json::Value = serde_json::from_str(&outcome.body).unwrap();
+        assert_eq!(v["error"]["code"].as_str(), Some("stalled"), "body: {}", outcome.body);
+        assert_eq!(v["error"]["scales_done"].as_u64(), Some(0));
+        assert_eq!(v["error"]["scales_total"].as_u64(), Some(6));
+        let next = jobs.submit(None, Box::new(|_pool, _ctx| ok("alive"))).unwrap();
+        assert_eq!(&*jobs.wait(next).unwrap().body, "alive");
         let stats = jobs.stats();
-        assert_eq!(stats.executor_restarts, 2);
-        assert_eq!(stats.panicked, 2);
-        assert_eq!(stats.executed, 2);
-        assert_eq!(stats.shards[0].restarts, 2);
+        assert_eq!((stats.cancelled, stats.completed, stats.panicked), (1, 1, 0));
     }
 
     #[test]
-    fn stalled_executor_is_cancelled_then_replaced() {
+    fn job_ignoring_its_stall_token_finishes_late_and_nothing_restarts() {
         let mut config = JobsConfig::new(1, 8);
         config.stall_budget = Duration::from_millis(40);
-        let jobs = JobManager::with_config(config, None);
-        let id = jobs
+        let jobs = JobManager::with_config(config, None).unwrap();
+        let gate = Gate::new();
+        let g = Arc::clone(&gate);
+        let stalled = Arc::new(AtomicUsize::new(0));
+        let saw_stall = Arc::clone(&stalled);
+        let hostile = jobs
             .submit(
                 None,
-                Box::new(|_pool, _ctx| {
-                    // hostile: ignores its token entirely and reports no
-                    // progress — the supervisor must escalate past the
-                    // cancel to a full shard restart
-                    std::thread::sleep(Duration::from_millis(1500));
+                Box::new(move |_pool, ctx| {
+                    // ignores its token entirely and reports no progress
+                    g.hold();
+                    let cause = ctx.cause_code();
+                    saw_stall.store(usize::from(cause == "stalled"), AtomicOrdering::SeqCst);
                     ok("ignored")
                 }),
             )
             .unwrap();
-        let outcome = jobs.wait(id).expect("stalled job is finalized by the supervisor");
-        assert_eq!(outcome.status, 500);
-        assert!(outcome.body.contains("stalled"), "body: {}", outcome.body);
-        // the replacement executor serves fresh work while the zombie is
-        // still wedged in its sleep
+        gate.wait_entered();
+        // a queued job behind the wedge still expires on its own deadline;
+        // its deadline lies past the running job's stall check, so the
+        // watchdog fires the stall token no later than this expiry
+        let queued = jobs
+            .submit_with(
+                None,
+                Some(Duration::from_millis(60)),
+                JobKind::Other,
+                0,
+                Box::new(|_pool, _ctx| ok("never")),
+            )
+            .unwrap();
+        let expired = jobs.wait(queued).expect("expired job reports");
+        assert_eq!(expired.status, 504);
+        assert!(expired.body.contains("deadline_exceeded"), "body: {}", expired.body);
+        assert_eq!(jobs.phase(hostile), Some(JobPhase::Running), "the wedge outlives it");
+        // the wedged job runs to completion, late, on the same executor
+        gate.release();
+        let outcome = jobs.wait(hostile).expect("hostile job reports");
+        assert_eq!((outcome.status, &*outcome.body), (200, "ignored"));
+        assert_eq!(stalled.load(AtomicOrdering::SeqCst), 1, "the stall token fired");
         let next = jobs.submit(None, Box::new(|_pool, _ctx| ok("alive"))).unwrap();
         assert_eq!(&*jobs.wait(next).unwrap().body, "alive");
         let stats = jobs.stats();
-        assert!(stats.executor_restarts >= 1, "stats: {stats:?}");
-        assert_eq!(stats.completed, 1);
-        assert_eq!(stats.panicked, 1);
-    }
-
-    #[test]
-    fn admission_estimates_are_per_shard() {
-        let mut config = JobsConfig::new(1, 8);
-        config.executors = 2;
-        let jobs = JobManager::with_config(config, None);
-        // seed shard 0's EWMA with a measured ~50ms job (even fingerprints
-        // route to shard 0 of 2)
-        let seed = jobs
-            .submit(
-                Some(2),
-                Box::new(|_pool, _ctx| {
-                    std::thread::sleep(Duration::from_millis(50));
-                    ok("seed")
-                }),
-            )
-            .unwrap();
-        jobs.wait(seed).unwrap();
-        // occupy shard 0 and queue another job behind the blocker
-        let gate = Gate::new();
-        let g = Arc::clone(&gate);
-        let blocker = jobs
-            .submit(
-                Some(4),
-                Box::new(move |_pool, _ctx| {
-                    g.hold();
-                    ok("gate")
-                }),
-            )
-            .unwrap();
-        gate.wait_entered();
-        let queued = jobs.submit(Some(6), Box::new(|_pool, _ctx| ok("queued"))).unwrap();
-        // shard 0's backlog (~2 seeded service times) exceeds a 1ms deadline
-        let refused = jobs.submit_with(
-            Some(8),
-            Some(Duration::from_millis(1)),
-            JobKind::Other,
-            0,
-            Box::new(|_pool, _ctx| ok("doomed")),
-        );
-        assert!(matches!(refused, Err(Reject::WouldExpire { .. })), "got {refused:?}");
-        // shard 1 is idle with an unseeded EWMA: the same deadline is
-        // admitted there — shard 0's backlog cannot inflate its estimate
-        let admitted = jobs
-            .submit_with(
-                Some(3),
-                Some(Duration::from_millis(1)),
-                JobKind::Other,
-                0,
-                Box::new(|_pool, _ctx| ok("other shard")),
-            )
-            .expect("idle shard admits what the busy shard refused");
-        assert!(jobs.wait(admitted).is_some());
-        gate.release();
-        assert!(jobs.wait(blocker).is_some());
-        assert!(jobs.wait(queued).is_some());
-        let stats = jobs.stats();
-        assert_eq!(stats.shards.len(), 2);
-        assert_eq!(stats.deadline_rejected, 1);
-        assert_eq!(stats.shards[0].deadline_rejected, 1);
-        assert_eq!(stats.shards[1].deadline_rejected, 0);
-    }
-
-    #[test]
-    fn coalescing_still_works_across_shards() {
-        let mut config = JobsConfig::new(1, 8);
-        config.executors = 4;
-        let jobs = JobManager::with_config(config, None);
-        let gate = Gate::new();
-        let g = Arc::clone(&gate);
-        let a = jobs
-            .submit(
-                Some(42),
-                Box::new(move |_pool, _ctx| {
-                    g.hold();
-                    ok("first")
-                }),
-            )
-            .unwrap();
-        let b = jobs.submit(Some(42), Box::new(|_pool, _ctx| ok("second"))).unwrap();
-        assert_eq!(a, b, "identical fingerprints land on one shard and coalesce");
-        gate.release();
-        let out_a = jobs.wait(a).unwrap();
-        let out_b = jobs.wait(b).unwrap();
-        assert!(Arc::ptr_eq(&out_a.body, &out_b.body), "one body serves both");
-        assert_eq!(&*out_a.body, "first");
-        let stats = jobs.stats();
-        assert_eq!(stats.coalesced, 1);
-        assert_eq!(stats.shards[42 % 4].coalesced, 1);
-        assert_eq!(stats.executed, 1);
-    }
-
-    #[test]
-    fn drain_joins_every_shard_within_the_shared_budget() {
-        let mut config = JobsConfig::new(1, 8);
-        config.executors = 3;
-        let jobs = JobManager::with_config(config, None);
-        // fingerprints 0, 1, 2 land one job on each of the three shards
-        let ids: Vec<u64> = (0..3u128)
-            .map(|fp| {
-                jobs.submit(
-                    Some(fp),
-                    Box::new(|_pool, _ctx| {
-                        std::thread::sleep(Duration::from_millis(20));
-                        ok("swept")
-                    }),
-                )
-                .unwrap()
-            })
-            .collect();
-        let stats = jobs.drain(Duration::from_secs(30));
-        assert_eq!(stats.queued, 0);
-        assert_eq!(stats.running, 0);
-        assert_eq!(stats.completed, 3);
-        for shard in &stats.shards {
-            assert_eq!(shard.completed, 1, "each shard drained its own job: {stats:?}");
-        }
-        for id in ids {
-            assert_eq!(jobs.wait(id).unwrap().status, 200);
-        }
-        assert!(matches!(
-            jobs.submit(None, Box::new(|_pool, _ctx| ok("late"))),
-            Err(Reject::Draining)
-        ));
+        assert_eq!((stats.completed, stats.cancelled, stats.panicked), (2, 1, 0));
     }
 }

@@ -40,7 +40,7 @@
 //! | `408 Request Timeout` | the peer stalled *mid-request* (head or body arrived partially, then nothing within the read timeout); an *idle* keep-alive connection is closed silently instead | `{"error": …}`, connection closed |
 //! | `503 Service Unavailable` | backpressure: job queue full, connection limit reached, admission control predicts the deadline cannot be met, or the server is draining | `Retry-After: <secs>` derived from the EWMA backlog estimate |
 //! | `504 Gateway Timeout` | the request's deadline expired while its job was queued or running; the sweep was cancelled cooperatively | `{"error", "scales_done", "scales_total"}` partial-progress counters |
-//! | `500 Internal Server Error` | the sweep panicked (caught; the executor survives), or the supervisor finalized the job after its executor died or stalled past the liveness budget | `{"error": …}` — supervisor-finalized bodies carry `scales_done` / `scales_total` partial progress |
+//! | `500 Internal Server Error` | the sweep panicked (caught; the executor survives) | `{"error": …}` |
 //!
 //! **Error envelope.** Every error body on every route, from every layer,
 //! is the one shape built by [`error_envelope`]:
@@ -65,17 +65,16 @@
 //! | `headers_too_large` | 431 | request head over the line/size caps |
 //! | `internal` | 500 | any other unexpected server failure (the default 500 code) |
 //! | `panicked` | 500 | the sweep panicked; the executor caught it and survives |
-//! | `executor_failed` | 500 | the supervisor finalized the job after its executor died or stalled past the liveness budget (body carries partial progress) |
 //! | `job_expired` | 500 | job outcome evicted before this waiter read it |
 //! | `not_implemented` | 501 | unsupported transfer encoding |
-//! | `queue_full` | 503 | the routed shard's bounded queue is full |
+//! | `queue_full` | 503 | the bounded job queue is full |
 //! | `would_expire` | 503 | admission control: estimated queue wait alone exceeds the deadline |
 //! | `connection_limit` | 503 | concurrent-connection cap reached |
 //! | `stream_limit` | 503 | `--max-streams` open ingest sessions already exist |
 //! | `draining` | 503, 504 | 503: lame-duck refusal of new work after SIGTERM/SIGINT; 504: a running job cancelled because the drain budget expired |
 //! | `deadline_exceeded` | 504 | deadline fired while the job was queued or running |
 //! | `fault_injected` | 504 | an armed fault-injection directive cancelled the job |
-//! | `stalled` | 504 | stall supervision cancelled a job making no sweep progress |
+//! | `stalled` | 504 | the watchdog cancelled a job that finished no scale within the stall budget |
 //! | `cancelled` | 504 | the job's cancel token fired without a recorded cause (fallback) |
 //! | `http_version_unsupported` | 505 | non-HTTP/1.x request line |
 //!
@@ -95,17 +94,12 @@
 //! tiling: a token that never fires leaves report bytes and cache
 //! fingerprints untouched, and cancelled jobs never populate the cache.
 //!
-//! **Sharding & supervision.** `--executors N` partitions the job system
-//! into N shards — each with its own bounded queue, executor thread,
-//! worker pool, EWMA wait estimate, and deadline watchdog — routed by
-//! `fingerprint % N`, so in-flight coalescing still holds per shard. A
-//! supervisor thread restarts dead executors with capped exponential
-//! backoff (in-flight job finalized as a structured `500`, queued jobs
-//! preserved) and escalates stalled shards from token-cancel to restart.
-//! Admission control and `Retry-After` compute from the routed shard's own
-//! backlog × its own EWMA. Shard count is an execution knob: report bytes
-//! and cache fingerprints are byte-identical for every `--executors`
-//! value. See [`jobs`] for the full design.
+//! **Job system.** One bounded queue, drained by one executor thread
+//! whose worker pool holds the whole `--threads` budget, and one watchdog
+//! thread that enforces deadlines and token-cancels a running job that
+//! finishes no scale within the stall budget (`504 stalled`). Each job runs
+//! under `catch_unwind`, so a panicking sweep is a `500 panicked` and the
+//! executor carries on. See [`jobs`] for the full design.
 //!
 //! **Streaming ingest sessions.** `POST /v1/streams?t_begin=A&t_end=B`
 //! opens a session that *pins* the analysis period and directedness up
@@ -129,8 +123,9 @@
 //! are evicted (`410 gone`); more than `--max-streams` concurrent sessions
 //! refuse creation with `503 stream_limit` + `Retry-After`. Concurrent
 //! refreshes of one session are ordered by a snapshot watermark on its
-//! sweep state: a refresh outrun by a newer one (possible across executor
-//! shards) recomputes from scratch without touching session state — and
+//! sweep state: a refresh outrun by a newer one (its snapshot is cut
+//! before it is queued, so a later snapshot can be queued first)
+//! recomputes from scratch without touching session state — and
 //! the [`SweepCache`](saturn_core::SweepCache) reuses nothing for a stream
 //! that is not an append-only extension of the view it was built from, so
 //! the core layer independently rejects inconsistent snapshots. See [`streams`] for the session table
@@ -138,7 +133,7 @@
 //!
 //! **Graceful drain.** On `SIGTERM`/`SIGINT`, `saturn serve` flips into
 //! lame-duck mode: new connections get `503 + Retry-After`, queued and
-//! running jobs on every shard get up to `--drain-secs` to finish,
+//! running jobs get up to `--drain-secs` to finish,
 //! stragglers are then cancelled via the same token path, and the process
 //! exits `0`.
 //!
@@ -206,21 +201,12 @@
 //! | `saturn_cache_disk_errors_total` | counter | — | disk I/O failures (each trips the breaker) |
 //! | `saturn_jobs_executed_total` | counter | — | jobs run to any outcome |
 //! | `saturn_jobs_completed_total` | counter | — | jobs finishing with their own outcome |
-//! | `saturn_jobs_cancelled_total` | counter | — | deadline / drain / fault 504s |
+//! | `saturn_jobs_cancelled_total` | counter | — | deadline / drain / stall / fault 504s |
 //! | `saturn_jobs_panicked_total` | counter | — | jobs whose work panicked (500) |
 //! | `saturn_jobs_coalesced_total` | counter | — | submissions attached to in-flight duplicates |
 //! | `saturn_jobs_rejected_total` | counter | — | submissions refused with any 503 |
 //! | `saturn_jobs_deadline_rejected_total` | counter | — | admission-control refusals |
-//! | `saturn_shard_queue_depth` | gauge | `shard` | jobs waiting on one shard |
-//! | `saturn_shard_ewma_job_seconds` | gauge | `shard` | one shard's EWMA of job service seconds |
-//! | `saturn_shard_jobs_executed_total` | counter | `shard` | per-shard slice of `saturn_jobs_executed_total` |
-//! | `saturn_shard_jobs_completed_total` | counter | `shard` | per-shard slice of `saturn_jobs_completed_total` |
-//! | `saturn_shard_jobs_cancelled_total` | counter | `shard` | per-shard slice of `saturn_jobs_cancelled_total` |
-//! | `saturn_shard_jobs_panicked_total` | counter | `shard` | per-shard slice of `saturn_jobs_panicked_total` |
-//! | `saturn_shard_jobs_coalesced_total` | counter | `shard` | per-shard slice of `saturn_jobs_coalesced_total` |
-//! | `saturn_shard_jobs_rejected_total` | counter | `shard` | per-shard slice of `saturn_jobs_rejected_total` |
-//! | `saturn_shard_jobs_deadline_rejected_total` | counter | `shard` | per-shard slice of `saturn_jobs_deadline_rejected_total` |
-//! | `saturn_executor_restarts_total` | counter | `shard` | supervisor restarts of one shard's executor |
+//! | `saturn_job_ewma_seconds` | gauge | — | EWMA of job service seconds (admission control, `Retry-After`) |
 //! | `saturn_stream_sessions_open` | gauge | — | streaming ingest sessions currently open |
 //! | `saturn_stream_sessions_opened_total` | counter | — | sessions ever created |
 //! | `saturn_stream_sessions_expired_total` | counter | — | sessions evicted past the idle TTL |
@@ -261,12 +247,10 @@ pub mod streams;
 pub use cache::{CacheStats, ReportCache};
 pub use faults::{FaultPlan, FaultSite};
 pub use jobs::{
-    auto_executors, JobCtx, JobKind, JobManager, JobOutcome, JobPhase, JobStats, JobsConfig,
-    Reject, ShardStats, WaitOutcome,
+    JobCtx, JobKind, JobManager, JobOutcome, JobPhase, JobStats, JobsConfig, Reject,
+    WaitOutcome,
 };
-pub use metrics::{
-    Counter, FloatGauge, Gauge, Histogram, Metrics, RequestTimings, ShardMetrics,
-};
+pub use metrics::{Counter, FloatGauge, Gauge, Histogram, Metrics, RequestTimings};
 pub use params::{ParamDefaults, RequestParams};
 pub use persist::{DiskStats, DiskTier};
 
@@ -279,8 +263,8 @@ use saturn_core::fingerprint::{self, Digest};
 use saturn_core::{try_validation_sweep_on, OccupancyMethod, SweepGrid, ValidationOptions};
 use saturn_linkstream::{io as stream_io, Directedness, LinkStream};
 use serde_json::Value;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -299,7 +283,7 @@ use std::time::{Duration, Instant};
 /// crate-docs status table; `message` is human-readable detail (not an API
 /// contract); `retryable` says whether the identical request may succeed if
 /// simply retried later; `progress` attaches the partial-sweep counters
-/// that 504s and supervisor-finalized 500s carry.
+/// that 504s carry.
 pub fn error_envelope(
     code: &str,
     message: &str,
@@ -389,18 +373,11 @@ fn status_is_retryable(status: u16) -> bool {
 pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (port 0 picks an ephemeral one).
     pub addr: String,
-    /// Sweep worker pool parallelism (0 = all available cores), split
-    /// evenly across the executor shards.
+    /// Sweep worker pool parallelism (0 = all available cores).
     pub threads: usize,
-    /// Executor shard count (0 = [`jobs::auto_executors`]): independent
-    /// bounded queues + pools + watchdogs, routed by `fingerprint %
-    /// executors`, supervised for panic/stall recovery. Purely an execution
-    /// knob — report bytes and cache keys are identical for every count.
-    pub executors: usize,
-    /// Liveness budget for stall supervision: a running job making no
-    /// sweep progress for this long is token-cancelled, for twice this
-    /// long its executor is replaced ([`jobs::DEFAULT_STALL_BUDGET`];
-    /// `Duration::ZERO` disables stall supervision).
+    /// Stall budget: a running job that finishes no scale for this long is
+    /// token-cancelled ([`jobs::DEFAULT_STALL_BUDGET`]; `Duration::ZERO`
+    /// disables stall cancellation).
     pub stall_budget: Duration,
     /// Target-tile width for analyze sweeps, in columns (0 = automatic).
     /// Splits each scale's DP across the pool; purely an execution knob —
@@ -452,7 +429,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7878".into(),
             threads: 0,
-            executors: 1,
             stall_budget: jobs::DEFAULT_STALL_BUDGET,
             tile: 0,
             no_delta: false,
@@ -506,15 +482,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and starts the job executor (which spawns the
-    /// shared worker pool).
+    /// Binds the listener and starts the job system (the worker pool, the
+    /// executor that owns it, and the watchdog). A thread that cannot spawn
+    /// is a bind error.
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let executors =
-            if config.executors == 0 { jobs::auto_executors() } else { config.executors };
-        let shared_metrics = Arc::new(Metrics::with_shards(executors));
+        let shared_metrics = Arc::new(Metrics::new());
         let mut jobs_config = JobsConfig::new(config.threads, config.queue_depth);
-        jobs_config.executors = executors;
         jobs_config.stall_budget = config.stall_budget;
         jobs_config.faults = config.faults.clone();
         // The disk tier opens (probe write + recovery scan) before any
@@ -529,6 +503,7 @@ impl Server {
             )?),
             _ => None,
         };
+        let jobs = JobManager::with_config(jobs_config, Some(Arc::clone(&shared_metrics)))?;
         Ok(Server {
             listener,
             ctx: Arc::new(ServerContext {
@@ -537,7 +512,7 @@ impl Server {
                     disk,
                     Arc::clone(&shared_metrics),
                 )),
-                jobs: JobManager::with_config(jobs_config, Some(Arc::clone(&shared_metrics))),
+                jobs,
                 metrics: shared_metrics,
                 tile: config.tile,
                 no_delta: config.no_delta,
@@ -672,29 +647,16 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerContext>) {
         }
         let Ok(stream) = stream else { continue };
         if ctx.lame_duck.load(Ordering::SeqCst) {
-            let mut stream = stream;
-            let retry = ctx.drain_secs.max(1).to_string();
-            let _ = write_response_with(
-                &mut stream,
-                503,
-                &[("Retry-After", retry)],
-                &ApiError::with_code(503, "draining", "server is draining").body(),
-                false,
-            );
+            let retry = ctx.drain_secs.max(1);
+            refuse(stream, ApiError::with_code(503, "draining", "server is draining"), retry);
             continue;
         }
         let active = ctx.active_connections.fetch_add(1, Ordering::SeqCst) + 1;
         if active > ctx.max_connections {
-            let mut stream = stream;
-            let _ = write_response_with(
-                &mut stream,
-                503,
-                &[("Retry-After", "1".to_string())],
-                &ApiError::with_code(503, "connection_limit", "connection limit reached")
-                    .body(),
-                false,
-            );
             ctx.active_connections.fetch_sub(1, Ordering::SeqCst);
+            let error =
+                ApiError::with_code(503, "connection_limit", "connection limit reached");
+            refuse(stream, error, 1);
             continue;
         }
         let ctx = Arc::clone(&ctx);
@@ -711,6 +673,41 @@ fn accept_loop(listener: TcpListener, ctx: Arc<ServerContext>) {
             let _slot = Slot(&ctx);
             serve_connection(stream, &ctx);
         });
+    }
+}
+
+/// Most bytes a refused connection may still send before it is closed.
+const LINGER_BYTES: usize = 1 << 20;
+
+/// Longest a refused connection may hold the accept loop after its 503.
+const LINGER_TIME: Duration = Duration::from_millis(250);
+
+/// Answers a connection the accept loop will not serve with a `503` and
+/// closes it with a linger. Dropping a socket whose request bytes are still
+/// unread makes the kernel send RST, and a client can then see a reset
+/// instead of the 503. So the write side is shut down after the response,
+/// and what the peer sent is read and discarded until it closes, up to
+/// [`LINGER_BYTES`] and [`LINGER_TIME`], so one client cannot stall the
+/// accept loop.
+fn refuse(mut stream: TcpStream, error: ApiError, retry_after_secs: u64) {
+    let retry = [("Retry-After", retry_after_secs.to_string())];
+    if write_response_with(&mut stream, 503, &retry, &error.body(), false).is_err()
+        || stream.shutdown(Shutdown::Write).is_err()
+    {
+        return;
+    }
+    let give_up = Instant::now() + LINGER_TIME;
+    let mut scratch = [0u8; 16 << 10];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = give_up.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
     }
 }
 
