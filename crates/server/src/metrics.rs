@@ -792,6 +792,30 @@ mod tests {
     }
 
     #[test]
+    fn shard_families_render_per_shard_samples() {
+        // one executor means one shard: the queue and executor families
+        // render exactly one unlabeled sample each, never a `shard` label
+        let m = Metrics::new();
+        m.jobs_executed.inc();
+        m.queue_depth.set(4);
+        m.job_ewma_seconds.set(0.25);
+        let text = m.render_prometheus();
+        for (name, sample) in [
+            ("saturn_queue_depth", "saturn_queue_depth 4"),
+            ("saturn_job_ewma_seconds", "saturn_job_ewma_seconds 0.25"),
+            ("saturn_jobs_executed_total", "saturn_jobs_executed_total 1"),
+        ] {
+            let samples: Vec<&str> = text
+                .lines()
+                .filter(|l| !l.starts_with('#') && l.split([' ', '{']).next() == Some(name))
+                .collect();
+            assert_eq!(samples, [sample], "samples of {name}");
+        }
+        assert!(!text.contains("shard"));
+        assert!(!text.contains("saturn_executor_restarts_total"));
+    }
+
+    #[test]
     fn route_labels_cover_the_service_surface() {
         assert_eq!(route_label("/v1/analyze"), "analyze");
         assert_eq!(route_label("/v1/jobs/17"), "jobs");
