@@ -23,7 +23,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Progress of a sweep in whole *scales* (grid points fully analyzed over
-/// all their tiles). Coarse on purpose: scales are the unit a client can
+/// all their tiles, then merged and scored; a scale a [`SweepCache`](crate::SweepCache) serves
+/// counts once it is scored). Coarse on purpose: scales are the unit a client can
 /// reason about (`scales_done/scales_total` in timeout error bodies), and
 /// the counters are only touched once per scale, not per tile.
 ///
@@ -61,9 +62,11 @@ impl SweepProgress {
 }
 
 /// One completed `(scale, tile)` work item of a sweep, reported to a
-/// [`SweepObserver`] the moment its DP finishes. Purely observational: every
-/// field is measured *after* the tile's histogram is sealed, so an observer
-/// — however slow — can delay the sweep but never change its output.
+/// [`SweepObserver`] once its DP finishes — and, for the tile that completes
+/// its scale, once the worker has also merged and scored that scale. Purely
+/// observational: every field is measured *after* the tile's histogram is
+/// sealed (and the scale's result computed), so an observer — however slow —
+/// can delay the sweep but never change its output.
 #[derive(Clone, Copy, Debug)]
 pub struct TileSpan {
     /// The scale (number of aggregation windows `k`) this tile belongs to.
@@ -74,6 +77,10 @@ pub struct TileSpan {
     pub col_len: u32,
     /// Wall time of the tile's DP, in seconds.
     pub seconds: f64,
+    /// Wall time of merging the scale's tile histograms and scoring the
+    /// merged one, in seconds: set on the scale's last tile, 0 on the
+    /// others.
+    pub score_seconds: f64,
     /// Minimal trips reported by the tile ([`saturn_trips::DpStats`]).
     pub trips: u64,
     /// Edge traversals processed (repeated per tile, not partitioned).
@@ -97,13 +104,15 @@ impl TileSpan {
         format!(
             concat!(
                 "{{\"span\":\"tile\",\"k\":{},\"col_start\":{},\"col_len\":{},",
-                "\"seconds\":{:.6},\"trips\":{},\"traversals\":{},\"chain_offers\":{},",
-                "\"snap_entries\":{},\"degree1_steps\":{},\"last_tile_of_scale\":{}}}"
+                "\"seconds\":{:.6},\"score_seconds\":{:.6},\"trips\":{},\"traversals\":{},",
+                "\"chain_offers\":{},\"snap_entries\":{},\"degree1_steps\":{},",
+                "\"last_tile_of_scale\":{}}}"
             ),
             self.k,
             self.col_start,
             self.col_len,
             self.seconds,
+            self.score_seconds,
             self.trips,
             self.traversals,
             self.chain_offers,
@@ -117,7 +126,9 @@ impl TileSpan {
 /// Callback surface for per-tile sweep telemetry, attached to a
 /// [`SweepControl`]. Called from worker threads, possibly concurrently —
 /// implementations must be cheap and internally synchronized. Cancelled
-/// tiles are never reported (their stats are garbage by contract).
+/// tiles are never reported (their stats are garbage by contract). The
+/// call for a scale's last tile comes after the scale is scored and before
+/// [`SweepProgress`] counts it as done.
 ///
 /// Like the cancel token and progress counters, an observer is an
 /// *execution* knob: attaching one cannot change report bytes or cache

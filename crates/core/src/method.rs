@@ -327,11 +327,14 @@ impl OccupancyMethod {
         }
     }
 
-    /// Analyzes `ks` scales on `pool` and returns each scale's merged
-    /// histogram: builds the `(scale, tile)` queue (finest scales first),
-    /// fans it across the workers, and merges the per-tile histograms of
-    /// each scale in ascending tile order — so the histograms are
-    /// bit-identical for every thread count and tile width.
+    /// Analyzes and scores `ks` scales on `pool`, returning each scale's
+    /// merged histogram with its [`DeltaResult`]: builds the `(scale, tile)`
+    /// queue (finest scales first) and fans it across the workers. Each
+    /// finished tile parks its histogram in its scale's slot; the worker
+    /// whose tile completes a scale merges the scale's tiles in ascending
+    /// tile order and scores the result, so the whole per-scale tail runs
+    /// on the pool and the histograms are bit-identical for every thread
+    /// count and tile width.
     ///
     /// Every scale's timeline is built from scratch off the shared event
     /// view by the first of its tiles to run. The scale's tiles share it
@@ -343,17 +346,21 @@ impl OccupancyMethod {
     /// item — an already-fired token turns the remaining items into no-ops —
     /// and thread it into the DP, which polls at a coarse step stride. A
     /// fired token makes this return [`Cancelled`] and every partial
-    /// histogram is dropped. Progress (`ctl.progress`) advances by one when
-    /// a scale's last tile completes.
+    /// histogram and scored scale of the call is dropped. Progress
+    /// (`ctl.progress`) advances by one when a scale is scored, after the
+    /// observer has seen its last tile — so `scales_done` counts scales
+    /// whose result exists.
+    #[allow(clippy::too_many_arguments)] // the sweep's shared inputs
     fn sweep_histograms(
         &self,
         pool: &mut WorkerPool,
         arenas: &[Mutex<EngineArena>],
         view: &EventView,
         targets: &TargetSet,
+        span: i64,
         ks: &[u64],
         ctl: &SweepControl,
-    ) -> Result<Vec<OccupancyHistogram>, Cancelled> {
+    ) -> Result<Vec<(OccupancyHistogram, DeltaResult)>, Cancelled> {
         let tile_cols = self.tile_cols(targets.len(), ks.len(), pool.parallelism());
         let items = sweep_queue(ks, &targets.tile_ranges(tile_cols));
         let tiles_in_scale = items.first().map_or(1, |item| item.tiles_in_scale);
@@ -362,16 +369,18 @@ impl OccupancyMethod {
 
         let timelines: Vec<Mutex<Option<Arc<Timeline>>>> =
             (0..ks.len()).map(|_| Mutex::new(None)).collect();
+        // One histogram slot per `(scale, tile)`, at `scale * tiles_in_scale
+        // + tile`; the worker that completes a scale empties its slots.
+        let tile_hists: Vec<Mutex<Option<OccupancyHistogram>>> =
+            (0..ks.len() * tiles_in_scale).map(|_| Mutex::new(None)).collect();
         // One countdown per scale; the worker that completes a scale's last
-        // tile frees its timeline and advances the coarse progress counter.
+        // tile frees its timeline, merges and scores the scale.
         let tiles_left: Vec<AtomicUsize> =
             (0..ks.len()).map(|_| AtomicUsize::new(tiles_in_scale)).collect();
 
-        let parts: Vec<OccupancyHistogram> = pool.map(&items, |wid, item| {
-            // Every slot must be written, so a cancelled item still returns
-            // a (discarded) histogram — it just skips the work.
+        let scored = pool.map(&items, |wid, item| {
             if ctl.cancel.is_cancelled() {
-                return OccupancyHistogram::new();
+                return None;
             }
             let mut arena = arenas[wid].lock().expect("arena poisoned");
             // holding the slot lock across the build makes the scale's other
@@ -397,44 +406,64 @@ impl OccupancyMethod {
             let seconds = started.elapsed().as_secs_f64();
             drop(timeline);
             // A token fired mid-DP leaves `hist` partial; the guard keeps a
-            // partial tile from counting its scale as done (and its garbage
-            // stats from reaching the observer).
-            if !ctl.cancel.is_cancelled() {
-                let last_tile_of_scale =
-                    tiles_left[item.scale].fetch_sub(1, Ordering::AcqRel) == 1;
-                if last_tile_of_scale {
-                    *timelines[item.scale].lock().expect("timeline slot poisoned") = None;
-                    ctl.progress.add_done(1);
-                }
-                if let Some(observer) = &ctl.observer {
-                    observer.tile_done(&TileSpan {
-                        k: ks[item.scale],
-                        col_start: item.col_start,
-                        col_len: item.col_len,
-                        seconds,
-                        trips: stats.trips,
-                        traversals: stats.traversals,
-                        chain_offers: stats.chain_offers,
-                        snap_entries: stats.snap_entries,
-                        degree1_steps: stats.degree1_steps,
-                        last_tile_of_scale,
-                    });
-                }
+            // partial tile out of its scale (and its garbage stats from
+            // reaching the observer).
+            if ctl.cancel.is_cancelled() {
+                return None;
             }
-            hist
+            let first_slot = item.scale * tiles_in_scale;
+            *tile_hists[first_slot + item.tile].lock().expect("tile slot poisoned") =
+                Some(hist);
+            let last_tile_of_scale = tiles_left[item.scale].fetch_sub(1, Ordering::AcqRel) == 1;
+            let mut score_seconds = 0.0;
+            let done = last_tile_of_scale.then(|| {
+                *timelines[item.scale].lock().expect("timeline slot poisoned") = None;
+                let started = Instant::now();
+                // ascending tile order; the first tile is the base, so a
+                // single-tile scale keeps its histogram as is
+                let mut tiles =
+                    tile_hists[first_slot..first_slot + tiles_in_scale].iter().map(|slot| {
+                        slot.lock().expect("tile slot poisoned").take().expect("tile done")
+                    });
+                let mut merged = tiles.next().expect("a scale has at least one tile");
+                for hist in tiles {
+                    merged.merge(&hist);
+                }
+                let result = self.delta_result(span, ks[item.scale], &merged);
+                score_seconds = started.elapsed().as_secs_f64();
+                (merged, result)
+            });
+            if let Some(observer) = &ctl.observer {
+                observer.tile_done(&TileSpan {
+                    k: ks[item.scale],
+                    col_start: item.col_start,
+                    col_len: item.col_len,
+                    seconds,
+                    score_seconds,
+                    trips: stats.trips,
+                    traversals: stats.traversals,
+                    chain_offers: stats.chain_offers,
+                    snap_entries: stats.snap_entries,
+                    degree1_steps: stats.degree1_steps,
+                    last_tile_of_scale,
+                });
+            }
+            if done.is_some() {
+                ctl.progress.add_done(1);
+            }
+            done
         });
         if ctl.cancel.is_cancelled() {
             return Err(Cancelled);
         }
-        // Deterministic merge: items are sorted by (k desc, tile asc), so a
-        // single in-order pass merges each scale's tiles in ascending tile
-        // order no matter which worker computed what.
-        let mut merged: Vec<OccupancyHistogram> =
-            (0..ks.len()).map(|_| OccupancyHistogram::new()).collect();
-        for (item, hist) in items.iter().zip(&parts) {
-            merged[item.scale].merge(hist);
+        let mut by_scale: Vec<Option<(OccupancyHistogram, DeltaResult)>> =
+            (0..ks.len()).map(|_| None).collect();
+        for (item, done) in items.iter().zip(scored) {
+            if done.is_some() {
+                by_scale[item.scale] = done;
+            }
         }
-        Ok(merged)
+        Ok(by_scale.into_iter().map(|done| done.expect("every scale is scored")).collect())
     }
 
     /// Runs the method: sweeps the grid, optionally refines around the
@@ -448,7 +477,10 @@ impl OccupancyMethod {
     /// [`EventView`] sorted once up front, and work is queued as
     /// `(scale, target tile)` items (finest scales first) so that even a
     /// single scale — or a narrow refinement round — fans out across the
-    /// whole pool.
+    /// whole pool. The per-scale tail runs on the pool too: the worker that
+    /// finishes a scale's last tile merges its tiles and scores it, so the
+    /// calling thread only scores the scales a [`SweepCache`] serves and
+    /// orders the results.
     pub fn run(&self, stream: &LinkStream) -> OccupancyReport {
         // no longer capped by the grid size: target tiling feeds pools wider
         // than the scale count
@@ -540,11 +572,19 @@ impl OccupancyMethod {
         // every analyzed scale with its fresh histogram (`None` = reused)
         let mut swept: Vec<(u64, Option<OccupancyHistogram>)> = Vec::new();
 
-        // One round: serve cached scales, sweep the rest, score them all.
+        // One round: score the cached scales, sweep and score the rest on
+        // the pool.
         let mut sweep_round = |round: &[u64]| -> Result<Vec<DeltaResult>, Cancelled> {
-            let reuse: Vec<bool> = round.iter().map(|&k| cached(k).is_some()).collect();
-            let compute: Vec<u64> =
-                round.iter().zip(&reuse).filter(|&(_, &r)| !r).map(|(&k, _)| k).collect();
+            let served: Vec<Option<DeltaResult>> = round
+                .iter()
+                .map(|&k| cached(k).map(|hist| self.delta_result(span, k, hist)))
+                .collect();
+            let compute: Vec<u64> = round
+                .iter()
+                .zip(&served)
+                .filter(|(_, r)| r.is_none())
+                .map(|(&k, _)| k)
+                .collect();
             let reused = (round.len() - compute.len()) as u64;
             let tile_cols = self.tile_cols(targets.len(), round.len(), pool.parallelism());
             stats.scales_total += round.len() as u64;
@@ -552,14 +592,18 @@ impl OccupancyMethod {
             stats.tiles_skipped += reused * targets.tile_ranges(tile_cols).len() as u64;
             ctl.progress.add_done(reused);
             let mut fresh = self
-                .sweep_histograms(pool, &arenas, &view, &targets, &compute, ctl)?
+                .sweep_histograms(pool, &arenas, &view, &targets, span, &compute, ctl)?
                 .into_iter();
             let mut results = Vec::with_capacity(round.len());
-            for (&k, &reused) in round.iter().zip(&reuse) {
-                let hist = if reused { None } else { fresh.next() };
-                let scored =
-                    hist.as_ref().or_else(|| cached(k)).expect("one histogram per scale");
-                results.push(self.delta_result(span, k, scored));
+            for (&k, served) in round.iter().zip(served) {
+                let (hist, result) = match served {
+                    Some(result) => (None, result),
+                    None => {
+                        let (hist, result) = fresh.next().expect("one result per fresh scale");
+                        (Some(hist), result)
+                    }
+                };
+                results.push(result);
                 swept.push((k, hist));
             }
             Ok(results)
@@ -1061,6 +1105,139 @@ mod tests {
         let retry =
             method.try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache).unwrap();
         assert_eq!(retry.to_json(), method.run_on(&new, &mut pool).to_json());
+    }
+
+    /// Counts `tile_done` calls and fires the token at the `fire_at`-th.
+    #[derive(Debug)]
+    struct FireAfter {
+        seen: AtomicUsize,
+        fire_at: usize,
+        token: saturn_trips::CancelToken,
+    }
+
+    impl crate::control::SweepObserver for FireAfter {
+        fn tile_done(&self, _: &TileSpan) {
+            if self.seen.fetch_add(1, Ordering::AcqRel) + 1 == self.fire_at {
+                self.token.cancel();
+            }
+        }
+    }
+
+    /// The scales a worker scored in a round that is cancelled later must
+    /// reach neither the cache nor a report: a token fired after any tile
+    /// of a refresh, on pools where a scale's last tile lands on any
+    /// worker, cancels the refresh and leaves the cache as it was.
+    #[test]
+    fn a_token_fired_after_any_tile_leaves_the_cache_untouched() {
+        let (old, new) = ring_with_appends(30);
+        // 8 columns in tiles of 3: every scale has 3 tiles
+        let method = OccupancyMethod::new()
+            .grid(SweepGrid::Geometric { points: 10 })
+            .refine(1, 3)
+            .tile(3);
+        for threads in [2usize, 4] {
+            let mut pool = WorkerPool::new(threads);
+            let scratch = method.try_run_on(&new, &mut pool, &SweepControl::new()).unwrap();
+            let mut warm = SweepCache::new();
+            method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut warm).unwrap();
+            let before = format!("{warm:?}");
+            // the tiles an uncancelled refresh from the warm cache runs
+            let counter = Arc::new(FireAfter {
+                seen: AtomicUsize::new(0),
+                fire_at: usize::MAX,
+                token: Default::default(),
+            });
+            let ctl = SweepControl::with_observer(Arc::clone(&counter) as _);
+            method.try_refresh_on(&new, &mut pool, &ctl, &mut warm.clone()).unwrap();
+            let tiles = counter.seen.load(Ordering::Acquire);
+            assert!(tiles > 3, "the refresh sweeps several multi-tile scales ({tiles} tiles)");
+            for fire_at in 0..=tiles {
+                let mut cache = warm.clone();
+                let observer = Arc::new(FireAfter {
+                    seen: AtomicUsize::new(0),
+                    fire_at,
+                    token: Default::default(),
+                });
+                let ctl = SweepControl {
+                    cancel: observer.token.clone(),
+                    ..SweepControl::with_observer(Arc::clone(&observer) as _)
+                };
+                if fire_at == 0 {
+                    ctl.cancel.cancel();
+                }
+                assert!(
+                    matches!(
+                        method.try_refresh_on(&new, &mut pool, &ctl, &mut cache),
+                        Err(Cancelled)
+                    ),
+                    "threads={threads} fire_at={fire_at}"
+                );
+                assert_eq!(format!("{cache:?}"), before, "threads={threads} fire_at={fire_at}");
+                let retry = method
+                    .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache)
+                    .unwrap();
+                assert_eq!(
+                    retry.to_json(),
+                    scratch.to_json(),
+                    "threads={threads} fire_at={fire_at}"
+                );
+            }
+        }
+    }
+
+    /// `scales_done` counts scored scales: each scale's last-tile span
+    /// (sent after scoring, with its merge + scoring time) comes before
+    /// progress counts the scale, and progress reaches the total only when
+    /// every scale is scored.
+    #[test]
+    fn progress_counts_a_scale_only_once_it_is_scored() {
+        use std::sync::{OnceLock, Weak};
+
+        #[derive(Default)]
+        struct ProgressProbe {
+            ctl: OnceLock<Weak<SweepControl>>,
+            scored: AtomicUsize,
+            /// `(scored so far, done)` at each last-tile span
+            marks: Mutex<Vec<(u64, u64)>>,
+            /// score seconds of the spans that are not a scale's last tile
+            other_score_seconds: Mutex<Vec<f64>>,
+        }
+        impl crate::control::SweepObserver for ProgressProbe {
+            fn tile_done(&self, span: &TileSpan) {
+                if !span.last_tile_of_scale {
+                    self.other_score_seconds.lock().unwrap().push(span.score_seconds);
+                    return;
+                }
+                assert!(span.score_seconds > 0.0, "the last tile carries the scoring time");
+                let scored = self.scored.fetch_add(1, Ordering::AcqRel) as u64 + 1;
+                let ctl = self.ctl.get().and_then(Weak::upgrade).expect("control alive");
+                let (done, _) = ctl.progress.snapshot();
+                self.marks.lock().unwrap().push((scored, done));
+            }
+        }
+
+        let s = ring_stream(9, 90, 6);
+        let method = OccupancyMethod::new()
+            .grid(SweepGrid::Geometric { points: 10 })
+            .refine(1, 4)
+            .tile(4);
+        for threads in [1usize, 2, 4] {
+            let mut pool = WorkerPool::new(threads);
+            let probe = Arc::new(ProgressProbe::default());
+            let ctl = Arc::new(SweepControl::with_observer(Arc::clone(&probe) as _));
+            probe.ctl.set(Arc::downgrade(&ctl)).unwrap();
+            let report = method.try_run_on(&s, &mut pool, &ctl).unwrap();
+            let marks = probe.marks.lock().unwrap();
+            assert_eq!(marks.len(), report.results().len());
+            for &(scored, done) in marks.iter() {
+                assert!(done < scored, "a scale counted before it was scored: {marks:?}");
+                if threads == 1 {
+                    assert_eq!(done + 1, scored, "{marks:?}");
+                }
+            }
+            assert_eq!(ctl.progress.snapshot(), (marks.len() as u64, marks.len() as u64));
+            assert!(probe.other_score_seconds.lock().unwrap().iter().all(|&s| s == 0.0));
+        }
     }
 
     #[test]

@@ -25,7 +25,8 @@
 //!   executing them, and fires the [`CancelToken`] of a running job past
 //!   its deadline; the sweep stops cooperatively at its next tile / DP
 //!   stride poll and reports partial progress (`scales_done` /
-//!   `scales_total`). Cancelled jobs never populate the response cache.
+//!   `scales_total`, in scales swept and scored). Cancelled jobs never
+//!   populate the response cache.
 //! * **Stalls are cancelled, not restarted.** The same watchdog fires the
 //!   token of a running job that finishes no scale for the stall budget
 //!   ([`CancelCause::Stalled`], a `504 stalled`). A job that ignores its

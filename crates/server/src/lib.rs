@@ -39,7 +39,7 @@
 //! |--------|---------|----------------|
 //! | `408 Request Timeout` | the peer stalled *mid-request* (head or body arrived partially, then nothing within the read timeout); an *idle* keep-alive connection is closed silently instead | `{"error": …}`, connection closed |
 //! | `503 Service Unavailable` | backpressure: job queue full, connection limit reached, admission control predicts the deadline cannot be met, or the server is draining | `Retry-After: <secs>` derived from the EWMA backlog estimate |
-//! | `504 Gateway Timeout` | the request's deadline expired while its job was queued or running; the sweep was cancelled cooperatively | `{"error", "scales_done", "scales_total"}` partial-progress counters |
+//! | `504 Gateway Timeout` | the request's deadline expired while its job was queued or running; the sweep was cancelled cooperatively | `{"error", "scales_done", "scales_total"}` partial-progress counters (`scales_done` counts scored scales) |
 //! | `500 Internal Server Error` | the sweep panicked (caught; the executor survives) | `{"error": …}` |
 //!
 //! **Error envelope.** Every error body on every route, from every layer,
@@ -97,8 +97,11 @@
 //! **Job system.** One bounded queue, drained by one executor thread
 //! whose worker pool holds the whole `--threads` budget, and one watchdog
 //! thread that enforces deadlines and token-cancels a running job that
-//! finishes no scale within the stall budget (`504 stalled`). Each job runs
-//! under `catch_unwind`, so a panicking sweep is a `500 panicked` and the
+//! finishes no scale within the stall budget (`504 stalled`). A scale is
+//! finished — and counted in the 504's `scales_done` — once the pool worker
+//! that ran its last tile has merged its tiles and scored it, so the
+//! watchdog sees progress per scored scale. Each job runs under
+//! `catch_unwind`, so a panicking sweep is a `500 panicked` and the
 //! executor carries on. See [`jobs`] for the full design.
 //!
 //! **Streaming ingest sessions.** `POST /v1/streams?t_begin=A&t_end=B`

@@ -834,6 +834,7 @@ mod tests {
             col_start: 0,
             col_len: 8,
             seconds: 0.002,
+            score_seconds: 0.5,
             trips: 5,
             traversals: 100,
             chain_offers: 40,
@@ -842,11 +843,14 @@ mod tests {
             last_tile_of_scale: true,
         };
         m.observe_tile(&span);
-        m.observe_tile(&TileSpan { last_tile_of_scale: false, ..span });
+        m.observe_tile(&TileSpan { last_tile_of_scale: false, score_seconds: 0.0, ..span });
         assert_eq!(m.sweep_tiles.get(), 2);
         assert_eq!(m.sweep_scales.get(), 1);
         assert_eq!(m.dp_trips.get(), 10);
         assert_eq!(m.dp_degree1_steps.get(), 14);
         assert_eq!(m.tile_seconds.count(), 2);
+        // tile seconds stay DP-only: the last tile's scoring time is not in
+        // them
+        assert!(m.tile_seconds.sum_micros() < 10_000, "{}", m.tile_seconds.sum_micros());
     }
 }
