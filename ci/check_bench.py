@@ -5,11 +5,12 @@ The sweep bench is the repository's perf trajectory record *and* its
 cross-engine correctness oracle: the intra_scale and delta sections each
 carry hard checksum comparisons (tiled vs untiled, delta-on vs delta-off)
 and the streaming section a refresh-vs-scratch report comparison, which
-must all hold — a divergence is a correctness bug in an execution knob that claims to be
-invisible, not benchmark noise. This script fails loudly, naming the
-workload and scale that diverged, if any section is missing, any checksum
-mismatches, or a section's shape degenerates (empty scale lists, zero
-timings).
+must all hold — a divergence is a correctness bug in an execution knob
+that claims to be invisible, not benchmark noise. The sink section's trip
+and rate counts must be consistent (`0 < distinct_rates <= trips`); its
+timings are not gated. This script fails loudly, naming the workload and
+scale that diverged, if any section is missing, any checksum mismatches,
+or a section's shape degenerates (empty scale lists, zero timings).
 
 Usage:
     python3 ci/check_bench.py --file /tmp/bench_sweep.json
@@ -135,7 +136,32 @@ def check_streaming(bench):
         )
 
 
-CHECKS = (check_workloads, check_intra_scale, check_delta, check_streaming)
+def check_sink(bench):
+    """Trip sink: per-workload per-scale trip and rate counts. Timings are
+    recorded, not gated."""
+    sink = section(bench, "sink")
+    for workload in WORKLOADS:
+        rows = sink.get(workload)
+        require(rows, f"sink: section has no {workload} scales")
+        for row in rows:
+            where = f"sink: {workload} k={row.get('k')}"
+            for field in (
+                "trips",
+                "distinct_rates",
+                "histogram_seconds",
+                "null_sink_seconds",
+                "trips_per_s",
+            ):
+                require(field in row, f"{where}: `{field}` is missing")
+            trips = row["trips"]
+            require(trips > 0, f"{where}: trips must be > 0")
+            require(
+                0 < row["distinct_rates"] <= trips,
+                f"{where}: distinct_rates must lie in (0, trips]",
+            )
+
+
+CHECKS = (check_workloads, check_intra_scale, check_delta, check_sink, check_streaming)
 
 
 def run_gate(bench):
@@ -172,6 +198,13 @@ def self_test():
     failing(
         lambda b: b["sparse_burst"].update(per_scale=[]),
         "per_scale is missing or empty",
+    )
+    failing(lambda b: b.pop("sink"), "`sink` is missing")
+    failing(
+        lambda b: b["sink"]["sparse_ring"][0].update(
+            distinct_rates=b["sink"]["sparse_ring"][0]["trips"] + 1
+        ),
+        "distinct_rates must lie in (0, trips]",
     )
     failing(lambda b: b.pop("streaming"), "`streaming` is missing")
     failing(

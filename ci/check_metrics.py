@@ -49,6 +49,7 @@ EXPECTED_FAMILIES = {
     "saturn_jobs_deadline_rejected_total": "counter",
     "saturn_job_ewma_seconds": "gauge",
     "saturn_stream_sessions_open": "gauge",
+    "saturn_stream_cache_bytes": "gauge",
     "saturn_stream_sessions_opened_total": "counter",
     "saturn_stream_sessions_expired_total": "counter",
     "saturn_stream_events_appended_total": "counter",

@@ -16,6 +16,10 @@
 //!   delta propagation targets (tracked in the `delta` section, with
 //!   hard-asserted delta-on == delta-off checksums on all three workloads).
 //!
+//! The `sink` section times the trip sink on all three workloads at three
+//! scales each: an occupancy-histogram run against the same DP feeding a
+//! null sink.
+//!
 //! Per scale, both the pre-rework pipeline (per-call timeline build + the
 //! retained baseline engine with fresh tables) and the current pipeline
 //! (shared sorted event view + frontier/arena engine) are timed; end-to-end
@@ -179,12 +183,9 @@ fn tiled_histogram(
     targets: &TargetSet,
     ranges: &[(u32, u32)],
 ) -> OccupancyHistogram {
-    let mut acc = OccupancyHistogram::new();
-    for &(start, len) in ranges {
-        let h = occupancy_histogram_tile_in(arena, timeline, targets, start, len as usize);
-        acc.merge(&h);
-    }
-    acc
+    OccupancyHistogram::merge_all(ranges.iter().map(|&(start, len)| {
+        occupancy_histogram_tile_in(arena, timeline, targets, start, len as usize)
+    }))
 }
 
 /// Histogram equality strong enough for a checksum: totals and the full
@@ -193,6 +194,57 @@ fn histograms_match(a: &OccupancyHistogram, b: &OccupancyHistogram) -> bool {
     a.total_trips() == b.total_trips()
         && a.distinct_rates() == b.distinct_rates()
         && a.sorted_rates() == b.sorted_rates()
+}
+
+/// The `sink` section: what counting trips into the occupancy histogram
+/// costs on top of the DP. Per workload and scale, one untiled histogram run
+/// is timed against the same DP feeding a [`NullSink`]; `trips_per_s` is
+/// trips over the histogram run's seconds.
+fn measure_sink(workloads: &[(&str, &LinkStream)], scales: &[u64], reps: usize) -> Value {
+    let mut sections = Vec::new();
+    for &(name, stream) in workloads {
+        let targets = TargetSet::all(stream.node_count() as u32);
+        let ncols = targets.len();
+        let view = EventView::new(stream);
+        let mut arena = EngineArena::new();
+        let mut per_scale = Vec::new();
+        for &k in scales {
+            let timeline = Timeline::aggregated_from_view(&view, k);
+            let hist = occupancy_histogram_tile_in(&mut arena, &timeline, &targets, 0, ncols);
+            let t_hist = time_median(reps, || {
+                occupancy_histogram_tile_in(&mut arena, &timeline, &targets, 0, ncols)
+            });
+            let t_null = time_median(reps, || {
+                earliest_arrival_dp_in(
+                    &mut arena,
+                    &timeline,
+                    &targets,
+                    &mut NullSink,
+                    DpOptions::default(),
+                )
+            });
+            let trips = hist.total_trips();
+            let trips_per_s = trips as f64 / t_hist;
+            println!(
+                "  sink {name} k={k:>7}  {trips} trips on {} rates  histogram {:>9.3} ms  \
+                 null sink {:>9.3} ms  {:.1}M trips/s",
+                hist.distinct_rates(),
+                t_hist * 1e3,
+                t_null * 1e3,
+                trips_per_s / 1e6,
+            );
+            per_scale.push(obj(vec![
+                ("k", Value::Int(k as i128)),
+                ("trips", Value::Int(trips as i128)),
+                ("distinct_rates", Value::Int(hist.distinct_rates() as i128)),
+                ("histogram_seconds", Value::Float(t_hist)),
+                ("null_sink_seconds", Value::Float(t_null)),
+                ("trips_per_s", Value::Float(trips_per_s)),
+            ]));
+        }
+        sections.push((name, Value::Array(per_scale)));
+    }
+    obj(sections)
 }
 
 /// The `intra_scale` section: what the second parallel axis costs and buys.
@@ -585,6 +637,14 @@ fn main() {
         reps,
     );
 
+    println!("trip sink (occupancy histogram vs null sink):");
+    let sink_scales = [scales[0], scales[scales.len() / 2], scales[scales.len() - 1]];
+    let sink = measure_sink(
+        &[("dense_uniform", &dense), ("sparse_ring", &sparse), ("sparse_burst", &burst)],
+        &sink_scales,
+        reps,
+    );
+
     println!("intra-scale parallelism (target tiling + degree-1 fast path):");
     let intra_scale = measure_intra_scale(&dense, &sparse, fast, reps);
 
@@ -637,6 +697,7 @@ fn main() {
         ("sparse_ring", sparse_json),
         ("sparse_burst", burst_json),
         ("delta", delta),
+        ("sink", sink),
         ("intra_scale", intra_scale),
         ("streaming", streaming),
         ("end_to_end", Value::Array(end_to_end)),

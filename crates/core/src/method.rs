@@ -99,7 +99,9 @@ pub struct SweepCache {
     targets: Option<TargetSpec>,
     /// The event view of the last successful refresh.
     view: Option<EventView>,
-    /// Merged histogram per window count `K`.
+    /// Merged histogram per window count `K`. Each is one sorted vector
+    /// of reduced rates (see [`OccupancyHistogram`]) whose heap size
+    /// [`SweepCache::heap_bytes`] counts exactly.
     hists: FxHashMap<u64, OccupancyHistogram>,
     /// Telemetry of the latest successful refresh.
     pub stats: RefreshStats,
@@ -119,6 +121,14 @@ impl SweepCache {
     /// Whether the cache holds no scale.
     pub fn is_empty(&self) -> bool {
         self.hists.is_empty()
+    }
+
+    /// Heap bytes held by the cache: the event view, the histograms, and
+    /// the table's entry slots (control bytes aside).
+    pub fn heap_bytes(&self) -> usize {
+        let view = self.view.as_ref().map_or(0, EventView::heap_bytes);
+        let slots = self.hists.capacity() * std::mem::size_of::<(u64, OccupancyHistogram)>();
+        view + slots + self.hists.values().map(OccupancyHistogram::heap_bytes).sum::<usize>()
     }
 }
 
@@ -331,10 +341,10 @@ impl OccupancyMethod {
     /// merged histogram with its [`DeltaResult`]: builds the `(scale, tile)`
     /// queue (finest scales first) and fans it across the workers. Each
     /// finished tile parks its histogram in its scale's slot; the worker
-    /// whose tile completes a scale merges the scale's tiles in ascending
-    /// tile order and scores the result, so the whole per-scale tail runs
-    /// on the pool and the histograms are bit-identical for every thread
-    /// count and tile width.
+    /// whose tile completes a scale merges the scale's tiles in one k-way
+    /// pass and scores the result, so the whole per-scale tail runs on the
+    /// pool and the histograms are bit-identical for every thread count and
+    /// tile width.
     ///
     /// Every scale's timeline is built from scratch off the shared event
     /// view by the first of its tiles to run. The scale's tiles share it
@@ -419,16 +429,12 @@ impl OccupancyMethod {
             let done = last_tile_of_scale.then(|| {
                 *timelines[item.scale].lock().expect("timeline slot poisoned") = None;
                 let started = Instant::now();
-                // ascending tile order; the first tile is the base, so a
-                // single-tile scale keeps its histogram as is
-                let mut tiles =
+                // one k-way pass; a single-tile scale keeps its histogram as is
+                let merged = OccupancyHistogram::merge_all(
                     tile_hists[first_slot..first_slot + tiles_in_scale].iter().map(|slot| {
                         slot.lock().expect("tile slot poisoned").take().expect("tile done")
-                    });
-                let mut merged = tiles.next().expect("a scale has at least one tile");
-                for hist in tiles {
-                    merged.merge(&hist);
-                }
+                    }),
+                );
                 let result = self.delta_result(span, ks[item.scale], &merged);
                 score_seconds = started.elapsed().as_secs_f64();
                 (merged, result)
@@ -995,6 +1001,7 @@ mod tests {
             assert_eq!(cold.unwrap().to_json(), method.run_on(&old, &mut pool).to_json());
             assert_eq!(cache.stats.scales_reused, 0);
             assert!(!cache.is_empty());
+            assert!(cache.heap_bytes() > SweepCache::new().heap_bytes());
             // warm refresh after appends == scratch run on the grown stream
             let warm = method
                 .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache)

@@ -211,6 +211,7 @@
 //! | `saturn_jobs_deadline_rejected_total` | counter | — | admission-control refusals |
 //! | `saturn_job_ewma_seconds` | gauge | — | EWMA of job service seconds (admission control, `Retry-After`) |
 //! | `saturn_stream_sessions_open` | gauge | — | streaming ingest sessions currently open |
+//! | `saturn_stream_cache_bytes` | gauge | — | heap bytes of the open sessions' sweep caches (event view + per-scale histograms) |
 //! | `saturn_stream_sessions_opened_total` | counter | — | sessions ever created |
 //! | `saturn_stream_sessions_expired_total` | counter | — | sessions evicted past the idle TTL |
 //! | `saturn_stream_events_appended_total` | counter | — | events accepted by append batches |

@@ -84,6 +84,16 @@ impl Gauge {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    /// Raises the value by `v`.
+    pub fn add(&self, v: u64) {
+        self.0.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Lowers the value by `v`.
+    pub fn sub(&self, v: u64) {
+        self.0.fetch_sub(v, Ordering::Relaxed);
+    }
 }
 
 /// A gauge holding an `f64` (EWMA seconds), stored as raw bits in an
@@ -361,6 +371,9 @@ pub struct Metrics {
     pub dp_degree1_steps: Counter,
     /// `saturn_stream_sessions_open` — live streaming ingest sessions.
     pub stream_sessions_open: Gauge,
+    /// `saturn_stream_cache_bytes` — heap bytes of the open sessions'
+    /// sweep caches (event view plus per-scale histograms).
+    pub stream_cache_bytes: Gauge,
     /// `saturn_stream_sessions_opened_total` — sessions ever created.
     pub stream_sessions_opened: Counter,
     /// `saturn_stream_sessions_expired_total` — sessions evicted by TTL.
@@ -446,6 +459,11 @@ impl Metrics {
                 "saturn_stream_sessions_open",
                 "Live streaming ingest sessions.",
                 &self.stream_sessions_open,
+            ),
+            (
+                "saturn_stream_cache_bytes",
+                "Heap bytes of the open sessions' sweep caches.",
+                &self.stream_cache_bytes,
             ),
         ] {
             writeln!(out, "# HELP {name} {help}").unwrap();

@@ -88,6 +88,11 @@ struct Session {
     /// by the state's snapshot watermark (see [`run_refresh`]).
     sweep: Mutex<SweepState>,
     last_touch: Mutex<Instant>,
+    /// This session's share of `saturn_stream_cache_bytes`: its cache's
+    /// heap bytes at the last refresh commit, `None` once evicted so that a
+    /// refresh still running then counts nothing. Never held across
+    /// another lock.
+    cache_bytes: Mutex<Option<u64>>,
 }
 
 /// A session's append-side state.
@@ -109,8 +114,40 @@ struct SweepState {
 }
 
 impl Session {
+    fn new(id: u64, period: (i64, i64), builder: LinkStreamBuilder) -> Session {
+        Session {
+            id,
+            period,
+            ingest: Mutex::new(Ingest { builder, version: 0 }),
+            sweep: Mutex::new(SweepState { cache: SweepCache::new(), version: 0 }),
+            last_touch: Mutex::new(Instant::now()),
+            cache_bytes: Mutex::new(Some(0)),
+        }
+    }
+
     fn touch(&self) {
         *self.last_touch.lock().unwrap() = Instant::now();
+    }
+
+    /// Moves this session's share of the cache-bytes gauge to `bytes`
+    /// (after a refresh commit). No-op once the session is evicted.
+    fn count_cache_bytes(&self, metrics: &Metrics, bytes: u64) {
+        if let Some(counted) =
+            self.cache_bytes.lock().expect("cache-bytes slot poisoned").as_mut()
+        {
+            // raise before lowering: the gauge never dips below the sum
+            metrics.stream_cache_bytes.add(bytes);
+            metrics.stream_cache_bytes.sub(std::mem::replace(counted, bytes));
+        }
+    }
+
+    /// Takes this session's share out of the cache-bytes gauge (eviction).
+    fn uncount_cache_bytes(&self, metrics: &Metrics) {
+        if let Some(counted) =
+            self.cache_bytes.lock().expect("cache-bytes slot poisoned").take()
+        {
+            metrics.stream_cache_bytes.sub(counted);
+        }
     }
 }
 
@@ -136,12 +173,19 @@ impl StreamSessions {
     }
 
     /// Drops every session idle past the TTL, keeping the expiry counter
-    /// and open-sessions gauge current. Called at the top of every streams
-    /// request (lazy eviction — no background thread to supervise).
+    /// and the open-sessions and cache-bytes gauges current. Called at the
+    /// top of every streams request (lazy eviction — no background thread
+    /// to supervise).
     fn evict_expired(&self, metrics: &Metrics) {
         let mut map = self.sessions.lock().unwrap();
         let before = map.len();
-        map.retain(|_, s| s.last_touch.lock().unwrap().elapsed() <= self.ttl);
+        map.retain(|_, s| {
+            let live = s.last_touch.lock().unwrap().elapsed() <= self.ttl;
+            if !live {
+                s.uncount_cache_bytes(metrics);
+            }
+            live
+        });
         let evicted = (before - map.len()) as u64;
         if evicted > 0 {
             metrics.stream_sessions_expired.add(evicted);
@@ -236,16 +280,7 @@ pub(crate) fn endpoint_create(request: &Request, ctx: &ServerContext) -> Handled
             ));
         }
         let id = ctx.streams.next_id.fetch_add(1, Ordering::Relaxed);
-        map.insert(
-            id,
-            Arc::new(Session {
-                id,
-                period: (t_begin, t_end),
-                ingest: Mutex::new(Ingest { builder, version: 0 }),
-                sweep: Mutex::new(SweepState { cache: SweepCache::new(), version: 0 }),
-                last_touch: Mutex::new(Instant::now()),
-            }),
-        );
+        map.insert(id, Arc::new(Session::new(id, (t_begin, t_end), builder)));
         ctx.metrics.stream_sessions_open.set(map.len() as u64);
         id
     };
@@ -334,8 +369,9 @@ fn append_events(request: &Request, ctx: &ServerContext, session: &Arc<Session>)
 ///
 /// Returns the report plus the sweep-cache stats, `None` for the stale
 /// scratch path (which bypasses the cache entirely). The watermark
-/// advances only on success; a cancelled refresh leaves the cache and the
-/// watermark as they were.
+/// advances only on success, which also moves the session's share of
+/// `saturn_stream_cache_bytes` to the committed cache's heap bytes; a
+/// cancelled refresh leaves the cache and the watermark as they were.
 fn run_refresh(
     method: &OccupancyMethod,
     stream: &LinkStream,
@@ -343,6 +379,7 @@ fn run_refresh(
     ctl: &SweepControl,
     session: &Session,
     snapshot_version: u64,
+    metrics: &Metrics,
 ) -> Result<(OccupancyReport, Option<RefreshStats>), Cancelled> {
     let mut sweep = session.sweep.lock().unwrap();
     if snapshot_version < sweep.version {
@@ -351,6 +388,7 @@ fn run_refresh(
     }
     let report = method.try_refresh_on(stream, pool, ctl, &mut sweep.cache)?;
     sweep.version = snapshot_version;
+    session.count_cache_bytes(metrics, sweep.cache.heap_bytes() as u64);
     Ok((report, Some(sweep.cache.stats)))
 }
 
@@ -407,8 +445,15 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
             .targets(targets)
             .tile(tile)
             .no_delta_propagation(no_delta);
-        let run =
-            run_refresh(&method, &stream, pool, &jctx.control, &session, version_at_snapshot);
+        let run = run_refresh(
+            &method,
+            &stream,
+            pool,
+            &jctx.control,
+            &session,
+            version_at_snapshot,
+            &metrics,
+        );
         match run {
             Ok((report, Some(stats))) => {
                 metrics.stream_refreshes.inc();
@@ -444,13 +489,7 @@ mod tests {
     fn session(id: u64) -> Arc<Session> {
         let mut builder = LinkStreamBuilder::new(Directedness::Undirected);
         builder.period(0, 100);
-        Arc::new(Session {
-            id,
-            period: (0, 100),
-            ingest: Mutex::new(Ingest { builder, version: 0 }),
-            sweep: Mutex::new(SweepState { cache: SweepCache::new(), version: 0 }),
-            last_touch: Mutex::new(Instant::now()),
-        })
+        Arc::new(Session::new(id, (0, 100), builder))
     }
 
     /// A consistent `(stream, version)` cut, exactly as
@@ -480,6 +519,7 @@ mod tests {
         let method = OccupancyMethod::new().grid(SweepGrid::Geometric { points: 8 });
         let mut pool = WorkerPool::new(1);
         let ctl = SweepControl::new();
+        let metrics = Metrics::new();
         let batch: Vec<(String, String, i64)> = (0..40i64)
             .map(|i| (format!("n{}", i % 5), format!("n{}", (i + 1) % 5), (i * 2) % 80))
             .collect();
@@ -494,7 +534,7 @@ mod tests {
 
         // the newer refresh executes first and advances the session
         let (report_b, stats_b) =
-            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, v_b).unwrap();
+            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, v_b, &metrics).unwrap();
         assert_eq!(report_b.to_json(), method.run_on(&stream_b, &mut pool).to_json());
         assert!(stats_b.is_some());
         assert_eq!(session.sweep.lock().unwrap().version, v_b);
@@ -502,7 +542,7 @@ mod tests {
         // the stale snapshot still produces the right bytes for ITS
         // stream, from scratch, without the session cache
         let (report_a, stats_a) =
-            run_refresh(&method, &stream_a, &mut pool, &ctl, &session, v_a).unwrap();
+            run_refresh(&method, &stream_a, &mut pool, &ctl, &session, v_a, &metrics).unwrap();
         assert_eq!(report_a.to_json(), method.run_on(&stream_a, &mut pool).to_json());
         assert!(stats_a.is_none(), "an outrun refresh must bypass the session cache");
         assert_ne!(report_a.to_json(), report_b.to_json());
@@ -511,10 +551,57 @@ mod tests {
         // identical clean re-refresh of B reuses every scale
         assert_eq!(session.sweep.lock().unwrap().version, v_b);
         let (report_b2, stats_b2) =
-            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, v_b).unwrap();
+            run_refresh(&method, &stream_b, &mut pool, &ctl, &session, v_b, &metrics).unwrap();
         assert_eq!(report_b2.to_json(), report_b.to_json());
         let stats = stats_b2.expect("in-order refresh uses the cache");
         assert_eq!(stats.scales_reused, stats.scales_total, "{stats:?}");
+    }
+
+    #[test]
+    fn cache_bytes_gauge_follows_refresh_commits_and_eviction() {
+        let sessions = StreamSessions::new(Duration::ZERO, 4);
+        let metrics = Metrics::new();
+        let session = session(1);
+        sessions.sessions.lock().unwrap().insert(1, Arc::clone(&session));
+        let ring: Vec<(String, String, i64)> = (0..30i64)
+            .map(|i| (format!("n{}", i % 6), format!("n{}", (i + 1) % 6), i * 3))
+            .collect();
+        let batch: Vec<(&str, &str, i64)> =
+            ring.iter().map(|(u, v, t)| (u.as_str(), v.as_str(), *t)).collect();
+        append(&session, &batch);
+        let (stream, version) = snapshot(&session);
+        let method = OccupancyMethod::new().grid(SweepGrid::Geometric { points: 8 });
+        let mut pool = WorkerPool::new(1);
+        run_refresh(
+            &method,
+            &stream,
+            &mut pool,
+            &SweepControl::new(),
+            &session,
+            version,
+            &metrics,
+        )
+        .unwrap();
+        let bytes = session.sweep.lock().unwrap().cache.heap_bytes() as u64;
+        assert!(bytes > 0);
+        assert_eq!(metrics.stream_cache_bytes.get(), bytes);
+
+        std::thread::sleep(Duration::from_millis(2));
+        sessions.evict_expired(&metrics);
+        assert_eq!(sessions.open(), 0);
+        assert_eq!(metrics.stream_cache_bytes.get(), 0);
+        // a refresh still running at eviction counts nothing
+        run_refresh(
+            &method,
+            &stream,
+            &mut pool,
+            &SweepControl::new(),
+            &session,
+            version,
+            &metrics,
+        )
+        .unwrap();
+        assert_eq!(metrics.stream_cache_bytes.get(), 0);
     }
 
     #[test]

@@ -631,6 +631,7 @@ fn metrics_exposition_is_wellformed() {
         "saturn_dp_snap_entries_total",
         "saturn_dp_degree1_steps_total",
         "saturn_stream_sessions_open",
+        "saturn_stream_cache_bytes",
         "saturn_stream_sessions_opened_total",
         "saturn_stream_sessions_expired_total",
         "saturn_stream_events_appended_total",

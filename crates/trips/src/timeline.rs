@@ -149,6 +149,11 @@ impl EventView {
         self.src.is_empty()
     }
 
+    /// Heap bytes held by the view's event columns.
+    pub fn heap_bytes(&self) -> usize {
+        self.src.capacity() * 4 + self.dst.capacity() * 4 + self.ticks.capacity() * 8
+    }
+
     /// The events this view adds to `old`, or `None` when this view is not
     /// an append-only extension of `old`: a different node count,
     /// directedness or study period, or an old event missing here (module
