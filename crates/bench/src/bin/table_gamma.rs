@@ -2,7 +2,8 @@
 //! four datasets, reproducing the paper's central quantitative claim —
 //! higher activity ⇒ smaller saturation scale (Facebook 46 h > Enron 78 h?
 //! no: the *two lowest-activity* networks get the two largest γ, and the two
-//! highest-activity ones the two smallest).
+//! highest-activity ones the two smallest). The binary prints its verdict
+//! and exits non-zero when the anti-correlation does not hold.
 
 use saturn_bench::{dataset, grid_points, write_table, HOUR};
 use saturn_core::{OccupancyMethod, SweepGrid};
@@ -58,4 +59,8 @@ fn main() {
             gammas.iter().map(|(n, g)| format!("{n} {g:.1}h")).collect::<Vec<_>>().join(", ")
         ),
     );
+    if !ordering_holds {
+        eprintln!("table_gamma: the activity/γ anti-correlation does not hold");
+        std::process::exit(1);
+    }
 }

@@ -87,6 +87,8 @@ fn fast_mode_fig8_validation_curves_hold() {
     assert!(text.contains("loss at γ = "), "{text}");
 }
 
+/// A false verdict makes the binary exit non-zero, which `run_fast`
+/// rejects; the verdict line is printed either way.
 #[test]
 fn fast_mode_table_gamma_anti_correlates_with_activity() {
     let text = run_fast(env!("CARGO_BIN_EXE_table_gamma"), "table_gamma");

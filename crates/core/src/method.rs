@@ -479,8 +479,8 @@ impl OccupancyMethod {
     /// Execution layout: one [`WorkerPool`] owns the worker threads for the
     /// coarse sweep *and* every refinement round; each worker keeps an
     /// [`EngineArena`] for the pool's lifetime (DP tables allocated once,
-    /// epoch-reset per scale), all scales aggregate from one shared
-    /// [`EventView`] sorted once up front, and work is queued as
+    /// never cleared; liveness is reset per scale), all scales aggregate
+    /// from one shared [`EventView`] sorted once up front, and work is queued as
     /// `(scale, target tile)` items (finest scales first) so that even a
     /// single scale — or a narrow refinement round — fans out across the
     /// whole pool. The per-scale tail runs on the pool too: the worker that

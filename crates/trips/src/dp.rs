@@ -25,26 +25,54 @@
 //! lives in a caller-owned [`EngineArena`] that each worker thread allocates
 //! once and reuses for every scale it processes. The invariants:
 //!
-//! * **Epoch stamping.** Tables are never re-zeroed between runs. Each run
-//!   bumps `arena.epoch`; a cell `(ea, hops, set_at)` is *live* iff
-//!   `stamp[idx] == epoch`, so stale values from earlier scales read as
-//!   "unreachable" at the cost of one `u32` compare. On the (once per 2^32
-//!   runs) epoch wrap, stamps are hard-reset.
-//! * **Reachability frontier.** A per-row bitmap (one bit per column) marks
-//!   the cells whose earliest arrival is finite. Backward in time,
-//!   reachability only grows, so bits are set-only within a run; the bitmap
-//!   is 1/128th the size of the cell table and is simply cleared between
-//!   runs. Snapshots iterate set bits in ascending column order — when a row
-//!   is dense this walks the cells sequentially (the same locality as a full
-//!   row scan), and when it is sparse whole 64-column words are skipped per
-//!   `trailing_zeros` step. That pruning is decisive for early backward
-//!   steps, where nearly every pair is still unreachable.
+//! * **Structure-of-arrays rows.** Cell values live in three `u32` tables,
+//!   `ea`, `hops` and `set_at`, each `n × |targets|` in row-major order, so
+//!   one row's arrivals are contiguous and a whole row can be offered a
+//!   word at a time (the dense kernel below). Tables are never cleared
+//!   between runs — `sweep_sparse`-sized inputs carry a 1394 × 1394 table
+//!   per arena — and carry no per-cell stamp.
+//! * **Liveness is the frontier bit.** A per-row bitmap (one bit per
+//!   column) marks the cells whose earliest arrival is finite; a cell's
+//!   bit is set together with its first write of the run, and the bitmap
+//!   (1/32nd the size of one value table) is cleared per run, so stale
+//!   values from earlier scales are never read. Backward in time,
+//!   reachability only grows, so bits are set-only within a run. Snapshots
+//!   and the sparse kernel iterate set bits in ascending column order; on
+//!   a sparse row whole 64-column words are skipped per `trailing_zeros`
+//!   step, which is decisive for early backward steps, where nearly every
+//!   pair is still unreachable. The dense kernel reads every lane, so a
+//!   row's dead lanes are filled with `NONE_EA` on its first dense use in
+//!   a run (one masked pass, `row_ready`); only rows that may go dense pay
+//!   it.
+//! * **Two chain kernels, one crossover.** A continuation row is read
+//!   over the words changed since the consumer's watermark (word marks,
+//!   delta invariants below; the whole row on a first firing). It is
+//!   *dense* when the entries the consumer may read there (live,
+//!   `set_at <= last`) reach `1 / DENSE_ROW_DIVISOR` of those words'
+//!   columns: its chain offers are then one straight, branchless loop over
+//!   those columns that the compiler vectorizes, building each 64-column
+//!   word of the step's change bitmaps from per-lane compare masks
+//!   (`valid = live' & set_at' <= last & c != diag`, `better = valid & ea'
+//!   < ea`, `tie = valid & ea' == ea & hops' + 1 < hops`) and counting
+//!   `popcount(valid)` offers. Other rows take the *sparse* kernel: a walk
+//!   of their read entries with one scalar update per entry. Rows whose
+//!   live count alone already reaches the share are counted exactly, in
+//!   one vectorized pass per word that also hands the sparse walk its
+//!   entry bits when the row stays sparse; sparser rows are never counted.
+//!   The crossover counts readable entries, not live cells, because the
+//!   dense kernel costs per column read and the sparse one per entry, and
+//!   delta filtering can leave a full row with a handful of entries (the
+//!   `sparse_burst` bench workload); it is relative to the width read and
+//!   was measured, not guessed (`CHANGES.md`). Distance runs always take
+//!   the sparse kernel, which flushes a cell's distance contribution on its
+//!   first change of a step; sweeps never collect distances.
 //! * **Frontier snapshots.** At each step, rows that can be read as
-//!   continuations snapshot only their frontier entries (`(col, ea, hops)`
-//!   triples appended to one flat buffer) instead of `copy_from_slice`-ing
-//!   whole rows. Snapshot bounds are frozen before any edge of the step is
-//!   applied, which is exactly the strict inequality of Remark 1 —
-//!   same-step values can never be read back (see the ablation test
+//!   continuations are snapshotted before any edge of the step is applied:
+//!   a sparse row appends its read entries (`(col, ea, hops, set_at)`
+//!   records in one flat buffer), a dense row copies its three value rows
+//!   over the words read (dead lanes reading `NONE_EA`). Freezing pre-step
+//!   values is exactly the strict inequality of Remark 1 — same-step
+//!   values can never be read back (see the ablation test
 //!   `remark1_ablation.rs` for the naive in-place variant's failure).
 //! * **CSR timelines.** Steps arrive as [`StepView`] slices into the
 //!   timeline's flat `edge_src` / `edge_dst` arrays ([`Timeline`] docs);
@@ -63,9 +91,9 @@
 //!   skips the slot machinery entirely: direction `u → w` reads row `w`
 //!   *live* (nothing has written it yet this step — offers only touch the
 //!   reader's own row), and for undirected timelines row `u` alone is
-//!   snapshotted (one flat append) before direction `u → w` dirties it, so
-//!   direction `w → u` still sees pre-step values. The offer sequence is
-//!   identical to the general path's, so results are bit-identical; what is
+//!   snapshotted before direction `u → w` dirties it, so direction
+//!   `w → u` still sees pre-step values. Both directions take the same two
+//!   kernels as the general path, so results are bit-identical; what is
 //!   saved is one row snapshot, all `slot_of` bookkeeping, and (directed)
 //!   every snapshot write. This attacks the snapshot-bound fine-scale tail
 //!   where nearly every non-empty window holds one edge.
@@ -83,16 +111,21 @@
 //! * **Per-(edge, direction) watermarks.** The timeline assigns every
 //!   distinct `(src, dst)` pair a stable id ([`crate::StepView::pair`]); the arena
 //!   keeps, at `wm[2 · pair + direction]`, the step at which that traversal
-//!   direction last consumed its continuation row. Watermarks are
-//!   epoch-stamped like cells, so arena reuse across scales/tiles (whose
-//!   pair ids mean different edges) needs no clearing.
+//!   direction last consumed its continuation row. Watermarks are reset
+//!   to `NEVER` ("not fired") at the start of every run (`O(pairs)`, less
+//!   than the run's traversals), so arena reuse across scales/tiles (whose
+//!   pair ids mean different edges) never leaks one.
 //! * **Change record = `set_at`.** A cell's `set_at` is by construction the
 //!   step of its most recent `(ea, hops)` change. With the backward sweep
 //!   running `k = K-1 .. 0`, "cell changed since direction `d` last fired
 //!   at step `L`" is exactly `set_at <= L` (snapshot values always have
 //!   `set_at >= k + 1`, so same-step writes never leak in). Alongside, a
-//!   per-row mark (`row_changed_at`, the minimum live `set_at` of the row)
-//!   lets a consumer skip the *whole* row scan when `row_changed_at > L`.
+//!   mark per row and 64-column word (`word_changed_at`, the minimum live
+//!   `set_at` of the word, set by the report walk at the end of a step and
+//!   so always pre-step while the step runs) lets a consumer skip a whole
+//!   word when its mark is `> L`, and the whole row when every word's is.
+//!   Both kernels skip such words, so a row's work follows its changed
+//!   words, not its width.
 //! * **Correctness (why skipped offers are no-ops).** Inductive invariant:
 //!   after direction `(u, w)` fires at step `L`, every chain candidate
 //!   `(ea'[w][v], hops'[w][v] + 1)` built from row `w`'s pre-step-`L`
@@ -100,9 +133,9 @@
 //!   good (first on `ea`, then `hops`) as that candidate — and cells only
 //!   improve monotonically. At a later (smaller) step `k`, an entry with
 //!   `set_at > L` still holds the *same* value it held at step `L`, so its
-//!   candidate is already dominated and cannot pass `offer`'s strict
+//!   candidate is already dominated and cannot pass the strict
 //!   improvement test. Offers that cannot improve have *zero* side effects
-//!   (no cell write, no `dirty` push, no distance flush), hence the
+//!   (no value change, no change bit, no distance flush), hence the
 //!   filtered run's cell states, trip stream, and distance sums are
 //!   bit-identical to the unfiltered run's — enforced differentially
 //!   against both the frontier engine with delta off and [`baseline`] in
@@ -114,7 +147,12 @@
 //!   computes, per slotted row, the most permissive consumer watermark
 //!   (`slot_maxlast`), and the snapshot keeps only entries with
 //!   `set_at <= slot_maxlast` (each direction then re-filters by its own
-//!   watermark). Rows with no consumer in the step — e.g. directed tails —
+//!   watermark). A dense row's snapshot copies the words whose mark is at
+//!   most `slot_maxlast` (no consumer reads the others); its consumers
+//!   apply the same `set_at' <= last` filter per lane inside the kernel's
+//!   `valid` mask, so a dense and a sparse consumer emit exactly the same
+//!   offers and every delta invariant above holds for both kernels. Rows
+//!   with no consumer in the step — e.g. directed tails —
 //!   and rows unchanged since every consumer's last visit skip the
 //!   frontier scan outright. This composes with the degree-1 bypass: a
 //!   single-edge step whose rows are unchanged since the edge last fired
@@ -125,11 +163,13 @@
 //!   snapshot discipline; they never change which values are read, so the
 //!   strict inequality of Remark 1 is untouched. In the degree-1 forward
 //!   direction the row is read live (nothing has written it this step) and
-//!   its live `row_changed_at` / `set_at` are therefore pre-step exact; the
+//!   its live `word_changed_at` / `set_at` are therefore pre-step exact; the
 //!   reverse-direction snapshot is taken before the forward offers dirty
 //!   row `eu`, watermark filtering included.
-//! * [`DpOptions::no_delta_propagation`] restores the emit-everything
-//!   behavior for differential tests and the `delta_propagation` bench;
+//! * [`DpOptions::no_delta_propagation`] is a watermark override only:
+//!   every watermark reads as `NEVER`, which passes every `set_at <= last`
+//!   and word-mark test, so every live column is offered at every firing.
+//!   The kernels and the change bitmaps are the same in both settings;
 //!   results are bit-identical with the flag on or off.
 //!
 //! The pre-rework engine (full-row snapshots, per-run table allocation,
@@ -200,7 +240,8 @@ impl<F: FnMut(u32, u32, u32, u32, u32)> TripSink for F {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DpOptions {
     /// Accumulate the exact sums needed for mean `d_time` / `d_hops` over all
-    /// departure steps (Figure 2, bottom row). Costs one extra `u32` table.
+    /// departure steps (Figure 2, bottom row). Such runs take the sparse
+    /// chain kernel for every row (module docs).
     pub collect_distances: bool,
     /// Force single-edge steps through the general snapshot path instead of
     /// the degree-1 bypass (module docs). Results are bit-identical either
@@ -208,9 +249,10 @@ pub struct DpOptions {
     /// `degree1_fast_path` bench. Ignored by [`baseline`], which has no
     /// fast path.
     pub no_degree1_fast_path: bool,
-    /// Disable delta propagation: emit every chain offer at every step
-    /// instead of only those whose source-row column changed since the same
-    /// (edge, direction) last consumed the row (module docs). Results are
+    /// Disable delta propagation: every delta watermark reads as `NEVER`,
+    /// so every live column is offered at every step instead of only those
+    /// whose source-row value changed since the same (edge, direction) last
+    /// consumed the row (module docs). Nothing else changes. Results are
     /// bit-identical either way — skipped offers are provably
     /// non-improving — so the flag exists purely for differential tests and
     /// the `delta_propagation` bench/ablation. Ignored by [`baseline`],
@@ -240,10 +282,18 @@ pub struct DpStats {
     pub traversals: u64,
     /// Chain offers actually emitted (after delta filtering; excludes the
     /// per-traversal single-hop offer). The delta bench reports this next
-    /// to wall time: it is the work the watermark filters eliminate.
+    /// to wall time: it is the work the watermark filters eliminate. The
+    /// dense kernel sweeps whole rows but counts only its `valid` lanes —
+    /// live, changed since the watermark, off the diagonal — which are
+    /// exactly the entries the sparse kernel would offer, so the count
+    /// does not depend on which kernel ran.
     pub chain_offers: u64,
-    /// Snapshot entries appended across all steps (after snapshot-side
-    /// delta filtering).
+    /// Snapshot entries taken across all steps (after snapshot-side delta
+    /// filtering). A dense row's snapshot is a whole-row copy, but it
+    /// counts only the live entries some consumer of the step may read
+    /// (`set_at` at most the consumers' most permissive watermark) — the
+    /// entries a sparse snapshot would append — so the figure keeps its
+    /// meaning across kernels.
     pub snap_entries: u64,
     /// Steps taken through the degree-1 fast path (single-edge steps with
     /// no slot machinery — the fine-scale tail's dominant step shape).
@@ -253,24 +303,23 @@ pub struct DpStats {
     pub distances: Option<DistanceSums>,
 }
 
-/// One DP table cell, sized to a half cache line so every `offer` touches a
-/// single line (the pre-rework layout spread `ea`/`hops`/`set_at` across
-/// three parallel arrays — three random accesses per offer).
-#[repr(C)]
-#[derive(Clone, Copy, Debug)]
-struct Cell {
-    /// Earliest arrival; garbage unless `stamp` matches the run's epoch.
-    ea: u32,
-    /// Min hops at the earliest arrival.
-    hops: u32,
-    /// Step at which `(ea, hops)` was installed.
-    set_at: u32,
-    /// Generation stamp; the cell is live iff `stamp == arena.epoch`.
-    stamp: u32,
+/// A continuation row takes the dense chain kernel when the entries its
+/// consumer may read fill at least `1 / DENSE_ROW_DIVISOR` of the columns
+/// read (see [`row_is_dense`]). Measured on the `sweep_dense`,
+/// `sweep_sparse` and `serve_mixed` inputs; the sweep of candidates is
+/// recorded in `CHANGES.md`.
+const DENSE_ROW_DIVISOR: usize = 3;
+
+/// Whether a continuation row with `live` entries among the `lanes` columns
+/// a consumer reads is processed by the dense (word-parallel) chain kernel
+/// rather than the sparse frontier walk. An empty row is never dense.
+#[inline]
+fn row_is_dense(live: usize, lanes: usize) -> bool {
+    live * DENSE_ROW_DIVISOR >= lanes
 }
 
-/// One snapshotted frontier entry of a continuation row. `set_at` is the
-/// pre-step install step of the value — consumers with a live delta
+/// One snapshotted frontier entry of a sparse continuation row. `set_at` is
+/// the pre-step install step of the value — consumers with a live delta
 /// watermark `L` skip entries with `set_at > L` (unchanged since they last
 /// consumed the row; module docs). 16 bytes keeps the flat snapshot buffer
 /// quarter-cache-line aligned.
@@ -283,45 +332,62 @@ struct Snap {
     set_at: u32,
 }
 
-/// Reusable per-worker engine state; see the module docs for the epoch and
+/// The Remark-1 snapshot of one slotted row for the current step.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    /// Delta-filtered frontier entries `snap[start .. start + len]`.
+    Sparse { start: u32, len: u32 },
+    /// A row copy of `node` at `dense_snap[base ..]`: `ncols` arrivals, then
+    /// `ncols` hop counts, then `ncols` install steps. Only the words some
+    /// consumer may read (change mark at most the consumers' most
+    /// permissive watermark) are copied; their dead lanes read
+    /// [`NONE_EA`].
+    Dense { base: u32, node: u32 },
+}
+
+/// Reusable per-worker engine state; see the module docs for the layout and
 /// frontier invariants. One arena serves any number of sequential runs; the
 /// sweep gives each worker thread its own.
 #[derive(Clone, Debug, Default)]
 pub struct EngineArena {
     nrows: usize,
     ncols: usize,
-    /// Current run's generation stamp; cells are live iff their stamp
-    /// matches.
-    epoch: u32,
-    cells: Vec<Cell>,
-    /// Per-row frontier bitmap (one bit per column): bit set = live cell.
-    /// Iterated in ascending column order, so snapshots and chain updates
-    /// walk rows sequentially — baseline-grade locality when dense, 64
-    /// columns skipped per zero word when sparse. 1/128th the size of the
-    /// cell table, so clearing it per run costs nothing measurable.
+    /// Cell values as three `nrows × ncols` rows-of-columns tables: earliest
+    /// arrival, min hops at that arrival, and the step the pair was
+    /// installed. A cell's values mean something only while its frontier
+    /// bit is set; the tables are never cleared between runs.
+    ea: Vec<u32>,
+    hops: Vec<u32>,
+    set_at: Vec<u32>,
+    /// Per-row frontier bitmap (one bit per column): bit set = live cell,
+    /// i.e. finite earliest arrival this run. Set together with the cell's
+    /// first write and cleared per run, it is the only liveness record.
     frontier: Vec<u64>,
     /// Words per frontier row: `ceil(ncols / 64)`.
     words_per_row: usize,
-    /// Flat per-step snapshot of frontier entries.
+    /// Per row: its dead lanes hold [`NONE_EA`] in `ea`, as the dense kernel
+    /// reads every lane. Set on the row's first dense use in a run (one
+    /// masked fill), cleared per run; cells only ever go live, so the
+    /// property holds until the next run.
+    row_ready: Vec<bool>,
+    /// Flat per-step snapshot of sparse rows' frontier entries.
     snap: Vec<Snap>,
-    /// Per snapshot slot: `(start, len)` into `snap`.
-    slot_bounds: Vec<(u32, u32)>,
+    /// Per-step row copies of dense rows (`Slot::Dense`); never shrunk,
+    /// so a step writes only the words its consumers read.
+    dense_snap: Vec<u32>,
+    /// Per snapshot slot: where its pre-step values live.
+    slots: Vec<Slot>,
     /// Per snapshot slot: the most permissive delta watermark among the
     /// step's consumers of the row (`0` = no consumer, `NEVER` = some
-    /// consumer needs everything). Snapshots are filtered to entries with
-    /// `set_at <= slot_maxlast[slot]`.
+    /// consumer needs everything). Snapshots keep (sparse) or count (dense)
+    /// the entries with `set_at <= slot_maxlast[slot]`.
     slot_maxlast: Vec<u32>,
     /// node -> snapshot slot (`NEVER` = none), plus the slotted-node list.
     slot_of: Vec<u32>,
     slotted: Vec<u32>,
-    /// `(cell index, pre-step ea)` of cells first touched in the current
-    /// step — the pre-delta dirty set, used only under
-    /// [`DpOptions::no_delta_propagation`] (it needs an `O(n log n)`
-    /// per-step sort to report trips in canonical order).
-    dirty: Vec<(usize, u32)>,
-    /// The delta path's dirty-column set: one `words_per_row` bitmap tile
-    /// per snapshot slot, bit set iff the cell changed this step. Iterating
-    /// set bits (slots in ascending node order) reproduces the canonical
+    /// The step's dirty-column set: one `words_per_row` bitmap tile per
+    /// snapshot slot, bit set iff the cell changed this step. Iterating set
+    /// bits (slots in ascending node order) reproduces the canonical
     /// ascending `(row, col)` report order with no sort at all.
     dirty_bits: Vec<u64>,
     /// Same geometry: bit set iff the cell's `ea` strictly improved this
@@ -331,21 +397,331 @@ pub struct EngineArena {
     /// Reporting scratch: the step's `(node, slot)` pairs, sorted ascending
     /// by node before the report walk.
     report_order: Vec<(u32, u32)>,
-    /// Per row: step of the row's most recent cell change (live iff
-    /// `row_changed_stamp` matches the epoch; dead = never changed this
-    /// run). Equals the minimum `set_at` over the row's live cells, so a
-    /// consumer watermark `L < row_changed_at[row]` proves the whole row
-    /// unchanged since that consumer's last visit.
-    row_changed_at: Vec<u32>,
-    row_changed_stamp: Vec<u32>,
+    /// Per row and 64-column word: step of the word's most recent cell
+    /// change (`NEVER` = never changed this run; reset per run). Equals the
+    /// minimum `set_at` over the word's live cells, so a consumer watermark
+    /// `L < word_changed_at` proves the whole word unchanged since that
+    /// consumer's last visit: both kernels skip such words, and a row with
+    /// no word left is skipped outright.
+    word_changed_at: Vec<u32>,
+    /// Scratch of one row's per-word read set (`Table::classify`).
+    read_bits: Vec<u64>,
     /// Delta watermarks, indexed `2 * pair_id + direction` over the
     /// timeline's distinct edge pairs: the step at which that (edge,
-    /// direction) last consumed its continuation row (live iff `wm_stamp`
-    /// matches the epoch; dead = never fired this run). Sized for the
-    /// largest timeline seen; stale stamps from other timelines/scales are
-    /// dead by the epoch invariant, exactly like cells.
+    /// direction) last consumed its continuation row (`NEVER` = not fired
+    /// this run). Reset per run, so pair ids of other timelines never leak.
     wm: Vec<u32>,
-    wm_stamp: Vec<u32>,
+}
+
+/// The cell tables and frontier of one run, split out of the arena so the
+/// kernels can write them while the step's snapshots are borrowed.
+struct Table<'a> {
+    ncols: usize,
+    words_per_row: usize,
+    ea: &'a mut [u32],
+    hops: &'a mut [u32],
+    set_at: &'a mut [u32],
+    frontier: &'a mut [u64],
+    row_ready: &'a mut [bool],
+    word_changed_at: &'a mut [u32],
+    /// [`classify`](Self::classify)'s per-word result for the last row it
+    /// classified (`words_per_row` words).
+    read_bits: &'a mut [u64],
+}
+
+/// One row's values: arrivals, hop counts, install steps (`ncols` each).
+type RowRef<'r> = (&'r [u32], &'r [u32], &'r [u32]);
+
+impl Table<'_> {
+    /// The frontier words of `row`.
+    #[inline(always)]
+    fn frontier_row(&self, row: usize) -> &[u64] {
+        &self.frontier[row * self.words_per_row..][..self.words_per_row]
+    }
+
+    /// The change marks of `row`'s words.
+    #[inline(always)]
+    fn marks(&self, row: usize) -> &[u32] {
+        &self.word_changed_at[row * self.words_per_row..][..self.words_per_row]
+    }
+
+    /// Classifies `row` for a consumer with watermark `last`, over the
+    /// words it reads (change mark `<= last`), and leaves in `read_bits`
+    /// the candidate entries of each word (zero for the other words).
+    /// `None`: no word is read, the row is unchanged since the consumer's
+    /// last visit. Otherwise whether the row takes the dense kernel: when
+    /// `dense_ok` and the live count reaches the [`row_is_dense`] share of
+    /// the columns read, the row is readied and `read_bits` narrowed, by
+    /// one vectorized pass, to the exact entries the consumer may read
+    /// (live, `set_at <= last`), whose count decides; otherwise
+    /// `read_bits` holds the live bits and the row is sparse.
+    #[inline]
+    fn classify(&mut self, row: usize, last: u32, dense_ok: bool) -> Option<bool> {
+        let wpr = self.words_per_row;
+        let (mut live, mut lanes) = (0, 0);
+        for wi in 0..wpr {
+            let (word, mark) =
+                (self.frontier[row * wpr + wi], self.word_changed_at[row * wpr + wi]);
+            self.read_bits[wi] = if mark <= last { word } else { 0 };
+            if mark <= last {
+                live += word.count_ones() as usize;
+                lanes += (self.ncols - wi * 64).min(64);
+            }
+        }
+        if lanes == 0 {
+            return None;
+        }
+        if !(dense_ok && row_is_dense(live, lanes)) {
+            return Some(false);
+        }
+        self.ready(row);
+        let r = row * self.ncols..(row + 1) * self.ncols;
+        let (ea, set_at) = (&self.ea[r.clone()], &self.set_at[r]);
+        let mut entries = 0;
+        for (wi, (ea, set_at)) in ea.chunks(64).zip(set_at.chunks(64)).enumerate() {
+            if self.read_bits[wi] != 0 {
+                let mut flags = [0u8; 64];
+                for (f, (&a, &s)) in flags.iter_mut().zip(ea.iter().zip(set_at)) {
+                    *f = u8::from(a != NONE_EA) & u8::from(s <= last);
+                }
+                self.read_bits[wi] = pack_lanes(&flags, 0);
+                entries += self.read_bits[wi].count_ones() as usize;
+            }
+        }
+        Some(row_is_dense(entries, lanes))
+    }
+
+    /// Makes `row`'s dead lanes read [`NONE_EA`] (once per row per run).
+    #[inline]
+    fn ready(&mut self, row: usize) {
+        if self.row_ready[row] {
+            return;
+        }
+        self.row_ready[row] = true;
+        let live = &self.frontier[row * self.words_per_row..][..self.words_per_row];
+        let ea = &mut self.ea[row * self.ncols..][..self.ncols];
+        for (chunk, &word) in ea.chunks_mut(64).zip(live) {
+            for (j, a) in chunk.iter_mut().enumerate() {
+                if word >> j & 1 == 0 {
+                    *a = NONE_EA;
+                }
+            }
+        }
+    }
+
+    /// `row`'s value slices.
+    #[inline(always)]
+    fn row(&self, row: usize) -> RowRef<'_> {
+        let r = row * self.ncols..(row + 1) * self.ncols;
+        (&self.ea[r.clone()], &self.hops[r.clone()], &self.set_at[r])
+    }
+
+    /// The sparse kernel: the DP update for one candidate `(arr, h)` at
+    /// cell `(row, col)` during step `k`, recording a change in the written
+    /// row's `dirty` / `ea_bits` tiles. On the cell's first change of the
+    /// step its old value's distance contribution is flushed (if collected).
+    #[allow(clippy::too_many_arguments)] // hot inner call; a params struct costs moves
+    #[inline(always)]
+    fn offer(
+        &mut self,
+        row: usize,
+        col: u32,
+        k: u32,
+        arr: u32,
+        h: u32,
+        dirty: &mut [u64],
+        ea_bits: &mut [u64],
+        collect: Option<&mut DistanceSums>,
+    ) {
+        let idx = row * self.ncols + col as usize;
+        let wi = col as usize >> 6;
+        let bit = 1u64 << (col & 63);
+        let fw = &mut self.frontier[row * self.words_per_row + wi];
+        let live = *fw & bit != 0;
+        let cur = if live { self.ea[idx] } else { NONE_EA };
+        if arr < cur {
+            if !live {
+                // first touch this run: enters the frontier
+                *fw |= bit;
+                self.set_at[idx] = k;
+            } else if self.set_at[idx] != k {
+                if let Some(sums) = collect {
+                    flush_distances(cur, self.hops[idx], self.set_at[idx], k, sums);
+                }
+                self.set_at[idx] = k;
+            }
+            self.ea[idx] = arr;
+            self.hops[idx] = h;
+            dirty[wi] |= bit;
+            ea_bits[wi] |= bit;
+        } else if arr == cur && arr != NONE_EA && h < self.hops[idx] {
+            if self.set_at[idx] != k {
+                if let Some(sums) = collect {
+                    flush_distances(cur, self.hops[idx], self.set_at[idx], k, sums);
+                }
+                self.set_at[idx] = k;
+            }
+            self.hops[idx] = h;
+            dirty[wi] |= bit;
+        }
+    }
+
+    /// The dense kernel: offers every lane of row `src`'s pre-step values
+    /// whose value changed since the consumer's watermark `last` (`set_at
+    /// <= last`), except the diagonal column `diag`, to row `row` at step
+    /// `k`. The values are read from `copy` when given, else live from the
+    /// table (sound only when no offer of the step writes row `src` first:
+    /// the degree-1 forward direction). Words whose change mark exceeds
+    /// `last` are skipped whole. `row` must be [`ready`](Self::ready) and
+    /// the source's dead lanes must read [`NONE_EA`]. Returns the number of
+    /// offers (valid lanes).
+    #[allow(clippy::too_many_arguments)] // one call per traversal
+    #[inline]
+    fn offer_row(
+        &mut self,
+        row: usize,
+        src: usize,
+        copy: Option<RowRef<'_>>,
+        last: u32,
+        diag: u32,
+        k: u32,
+        dirty: &mut [u64],
+        ea_bits: &mut [u64],
+    ) -> u64 {
+        let n = self.ncols;
+        let r = row * n..(row + 1) * n;
+        let ((ea, s_ea), (hops, s_hops), (set_at, s_set)) = match copy {
+            Some((a, h, s)) => (
+                (&mut self.ea[r.clone()], a),
+                (&mut self.hops[r.clone()], h),
+                (&mut self.set_at[r], s),
+            ),
+            None => (
+                row_pair(self.ea, n, row, src),
+                row_pair(self.hops, n, row, src),
+                row_pair(self.set_at, n, row, src),
+            ),
+        };
+        let wpr = self.words_per_row;
+        let marks = &self.word_changed_at[src * wpr..][..wpr];
+        let frontier = &mut self.frontier[row * wpr..][..wpr];
+        let mut offers = 0u64;
+        for (wi, (((((ea, hops), set_at), s_ea), s_hops), s_set)) in ea
+            .chunks_mut(64)
+            .zip(hops.chunks_mut(64))
+            .zip(set_at.chunks_mut(64))
+            .zip(s_ea.chunks(64))
+            .zip(s_hops.chunks(64))
+            .zip(s_set.chunks(64))
+            .enumerate()
+        {
+            if marks[wi] > last {
+                continue;
+            }
+            let (valid, better, changed) = offer_word(
+                ea,
+                hops,
+                set_at,
+                (s_ea, s_hops, s_set),
+                last,
+                diag.wrapping_sub(wi as u32 * 64),
+                k,
+            );
+            offers += u64::from(valid.count_ones());
+            frontier[wi] |= better;
+            ea_bits[wi] |= better;
+            dirty[wi] |= changed;
+        }
+        offers
+    }
+}
+
+/// Row `dst` of the row-major table `v` (`ncols` wide), mutably, beside its
+/// row `src != dst`.
+#[inline(always)]
+fn row_pair(v: &mut [u32], ncols: usize, dst: usize, src: usize) -> (&mut [u32], &[u32]) {
+    debug_assert_ne!(dst, src);
+    let (lo, hi) = v.split_at_mut(dst.max(src) * ncols);
+    if dst < src {
+        (&mut lo[dst * ncols..][..ncols], &hi[..ncols])
+    } else {
+        (&mut hi[..ncols], &lo[src * ncols..][..ncols])
+    }
+}
+
+/// All-ones when `b`, else zero.
+#[inline(always)]
+fn lane_mask(b: bool) -> u32 {
+    0u32.wrapping_sub(u32::from(b))
+}
+
+/// Bit `flag` of each of 64 lane flags, packed into one word (lane `j` to
+/// bit `j`): eight lanes per multiply, which gathers the low bit of each of
+/// eight bytes into the top byte.
+#[inline(always)]
+fn pack_lanes(flags: &[u8; 64], flag: u32) -> u64 {
+    let mut word = 0;
+    for (i, chunk) in flags.chunks_exact(8).enumerate() {
+        let x = u64::from_le_bytes(chunk.try_into().expect("chunks of 8")) >> flag;
+        word |=
+            ((x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    word
+}
+
+/// One 64-column word of the dense kernel: per lane `j`,
+/// `valid = live' & set_at' <= last & j != diag`, `better = valid & ea' <
+/// ea` and `tie = valid & ea' == ea & hops' + 1 < hops`; `better` installs
+/// `(ea', hops' + 1, k)`, `tie` installs `(hops' + 1, k)`. Branchless, so
+/// the loop vectorizes at the default target. Returns the `valid`,
+/// `better` and `better | tie` lane bits.
+#[inline(always)]
+fn offer_word(
+    ea: &mut [u32],
+    hops: &mut [u32],
+    set_at: &mut [u32],
+    src: RowRef<'_>,
+    last: u32,
+    diag: u32,
+    k: u32,
+) -> (u64, u64, u64) {
+    let n = ea.len().min(64);
+    let (ea, hops, set_at) = (&mut ea[..n], &mut hops[..n], &mut set_at[..n]);
+    let (s_ea, s_hops, s_set) = (&src.0[..n], &src.1[..n], &src.2[..n]);
+    // bit 0: valid, bit 1: better, bit 2: better | tie
+    let mut flags = [0u8; 64];
+    for j in 0..n {
+        let a = s_ea[j];
+        let h = s_hops[j].wrapping_add(1);
+        let valid =
+            lane_mask(a != NONE_EA) & lane_mask(s_set[j] <= last) & lane_mask(j as u32 != diag);
+        let cur = ea[j];
+        let better = valid & lane_mask(a < cur);
+        let changed = better | (valid & lane_mask(a == cur) & lane_mask(h < hops[j]));
+        ea[j] = (a & better) | (cur & !better);
+        hops[j] = (h & changed) | (hops[j] & !changed);
+        set_at[j] = (k & changed) | (set_at[j] & !changed);
+        flags[j] = ((valid & 1) | (better & 2) | (changed & 4)) as u8;
+    }
+    (pack_lanes(&flags, 0), pack_lanes(&flags, 1), pack_lanes(&flags, 2))
+}
+
+/// Flushes the distance contribution of a live cell's value `(ea, hops)`,
+/// valid for departure steps `[new_k + 1, set_at]`, before replacement.
+#[inline]
+fn flush_distances(ea: u32, hops: u32, set_at: u32, new_k: u32, sums: &mut DistanceSums) {
+    debug_assert!(ea != NONE_EA);
+    let hi = set_at as i128; // inclusive
+    let lo = new_k as i128 + 1; // inclusive
+    if hi < lo {
+        return;
+    }
+    let cnt = hi - lo + 1;
+    // Σ_{t=lo..hi} (a - t + 1) = cnt·(a + 1) - Σ t
+    let sum_t = (lo + hi) * cnt / 2;
+    sums.sum_dtime_steps += cnt * (ea as i128 + 1) - sum_t;
+    sums.sum_dhops += cnt * hops as i128;
+    sums.finite_triples += cnt;
 }
 
 impl EngineArena {
@@ -358,34 +734,18 @@ impl EngineArena {
 
     /// Readies the arena for a run over an `nrows × ncols` table.
     ///
-    /// Geometry changes reuse the cell buffer whenever it is large enough:
-    /// a stale stamp is always from a past epoch, so cells re-read under a
-    /// different `(nrows, ncols)` mapping are dead regardless of which
-    /// `(row, col)` wrote them. Workers of a tiled sweep alternate between
-    /// full tiles and the remainder tile, and must not reallocate per item.
+    /// The cell tables are only grown, never cleared: liveness is the
+    /// frontier bit, and the frontier, row marks and readiness flags are
+    /// reset here, so values left by earlier runs — under any `(nrows,
+    /// ncols)` mapping — are never read. Workers of a tiled sweep alternate
+    /// between full tiles and the remainder tile, and must not reallocate
+    /// per item.
     fn prepare(&mut self, nrows: usize, ncols: usize) {
         let n_cells = nrows.checked_mul(ncols).expect("state table size overflow");
-        let mut epoch_restarted = false;
-        if n_cells > self.cells.len() {
-            // grow: fresh allocation; ea/hops/set_at are garbage until
-            // stamped, only `stamp` needs real init
-            self.cells = vec![Cell { ea: NONE_EA, hops: 0, set_at: NEVER, stamp: 0 }; n_cells];
-            self.epoch = 1;
-            epoch_restarted = true;
-        } else if self.epoch == u32::MAX {
-            for cell in &mut self.cells {
-                cell.stamp = 0;
-            }
-            self.epoch = 1;
-            epoch_restarted = true;
-        } else {
-            self.epoch += 1;
-        }
-        if epoch_restarted {
-            // every stamped side table restarts with the epoch counter, or
-            // stale entries from before the restart would read as live
-            self.wm_stamp.fill(0);
-            self.row_changed_stamp.fill(0);
+        if n_cells > self.ea.len() {
+            self.ea.resize(n_cells, NONE_EA);
+            self.hops.resize(n_cells, 0);
+            self.set_at.resize(n_cells, NEVER);
         }
         if self.nrows != nrows || self.ncols != ncols {
             self.words_per_row = ncols.div_ceil(64);
@@ -395,20 +755,22 @@ impl EngineArena {
             }
             if nrows > self.slot_of.len() {
                 self.slot_of.resize(nrows, NEVER);
+                self.row_ready.resize(nrows, false);
             }
-            if nrows > self.row_changed_stamp.len() {
-                self.row_changed_at.resize(nrows, 0);
-                self.row_changed_stamp.resize(nrows, 0);
+            if words > self.word_changed_at.len() {
+                self.word_changed_at.resize(words, NEVER);
             }
+            self.read_bits.resize(self.words_per_row, 0);
             self.nrows = nrows;
             self.ncols = ncols;
         }
         self.frontier[..nrows * self.words_per_row].fill(0);
+        self.word_changed_at[..nrows * self.words_per_row].fill(NEVER);
+        self.row_ready.fill(false);
         self.slotted.clear();
-        self.slot_bounds.clear();
+        self.slots.clear();
         self.slot_maxlast.clear();
         self.snap.clear();
-        self.dirty.clear();
         // normally already zero (the report walk clears the words it
         // visits), but a sink panic can abandon a run mid-step
         self.dirty_bits.fill(0);
@@ -430,67 +792,55 @@ impl EngineArena {
         options: DpOptions,
         cancel: Option<&CancelToken>,
     ) -> DpStats {
-        // Field-split the arena so the hot loops can hold a shared borrow of
-        // the snapshot buffer while mutating cells/frontier/dirty.
+        // Field-split the arena so the kernels can hold a shared borrow of
+        // the snapshot buffers while mutating the tables.
         let EngineArena {
             nrows,
             ncols,
-            epoch,
-            cells,
+            ea,
+            hops,
+            set_at,
             frontier,
             words_per_row,
+            row_ready,
             snap,
-            slot_bounds,
+            dense_snap,
+            slots,
             slot_maxlast,
             slot_of,
             slotted,
-            dirty,
             dirty_bits,
             ea_bits,
             report_order,
-            row_changed_at,
-            row_changed_stamp,
+            word_changed_at,
+            read_bits,
             wm,
-            wm_stamp,
         } = self;
-        let (nrows, ncols, epoch, words_per_row) = (*nrows, *ncols, *epoch, *words_per_row);
+        let (nrows, ncols, words_per_row) = (*nrows, *ncols, *words_per_row);
+        let mut table = Table {
+            ncols,
+            words_per_row,
+            ea: &mut ea[..nrows * ncols],
+            hops: &mut hops[..nrows * ncols],
+            set_at: &mut set_at[..nrows * ncols],
+            frontier: &mut frontier[..nrows * words_per_row],
+            row_ready: &mut row_ready[..nrows],
+            word_changed_at: &mut word_changed_at[..nrows * words_per_row],
+            read_bits,
+        };
         let undirected = !timeline.is_directed();
         let collect = options.collect_distances;
         let degree1 = !options.no_degree1_fast_path;
-        let delta = !options.no_delta_propagation;
-        // Watermark storage: two slots (one per direction) for each distinct
-        // edge pair of this timeline. Capacity is kept across runs; entries
-        // stamped by earlier runs — including runs over other timelines,
-        // whose pair ids mean something else — are dead by the epoch check.
-        let wm_len = timeline.distinct_pairs() as usize * 2;
-        if wm.len() < wm_len {
-            wm.resize(wm_len, 0);
-            wm_stamp.resize(wm_len, 0);
-        }
+        // Distance runs keep to the sparse kernel, which flushes a cell's
+        // old value on its first change of a step; the sweep never collects
+        // distances.
+        let dense_ok = !collect;
+        // Watermarks: two (one per direction) for each distinct edge pair of
+        // this timeline, reset to "not fired" every run.
+        wm.clear();
+        wm.resize(timeline.distinct_pairs() as usize * 2, NEVER);
+        let overridden = options.no_delta_propagation;
 
-        /// The delta watermark of one (edge, direction): the step at which
-        /// it last consumed its continuation row, or `NEVER` when it has not
-        /// fired this run (or delta propagation is off) — `NEVER` passes
-        /// every `set_at <= last` filter, i.e. "offer everything".
-        #[inline(always)]
-        fn wm_last(wm: &[u32], wm_stamp: &[u32], epoch: u32, idx: usize, delta: bool) -> u32 {
-            if delta && wm_stamp[idx] == epoch {
-                wm[idx]
-            } else {
-                NEVER
-            }
-        }
-
-        /// The step of `row`'s most recent change, or `NEVER` when the row
-        /// has not changed this run (its frontier is then empty anyway).
-        #[inline(always)]
-        fn row_mark(at: &[u32], stamp: &[u32], epoch: u32, row: usize) -> u32 {
-            if stamp[row] == epoch {
-                at[row]
-            } else {
-                NEVER
-            }
-        }
         // Tile-local column of node `v`, if `v` is a destination inside
         // `[col_start, col_start + ncols)` — one array read plus a wrapping
         // range compare on the hot path.
@@ -510,102 +860,131 @@ impl EngineArena {
         let mut snap_entries = 0u64;
         let mut degree1_steps = 0u64;
 
-        /// The DP update for one candidate `(arrival, hops)` at cell `idx`
-        /// (= row `row_node` × column `col`) during step `k`. A free fn over
-        /// the split-out arena parts so callers can keep disjoint borrows.
-        ///
-        /// Change tracking is dual-mode (`delta`): the delta path records
-        /// changes in the caller's per-slot bitmaps at `bit_base`
-        /// (idempotent ORs; `ea_bits` additionally marks strict `ea`
-        /// improvements — the minimal-trip condition), the pre-delta path
-        /// pushes `(idx, pre-step ea)` onto the sorted-later `dirty` vec.
-        /// `delta` is constant within a run, so the branches predict
-        /// perfectly.
-        #[allow(clippy::too_many_arguments)] // hot inner call; a params struct costs moves
+        /// Snapshots `node`'s pre-step row for consumers whose most
+        /// permissive watermark is `maxlast`, over the words changed since
+        /// then: a dense row (when `dense_ok`) copies those words into the
+        /// step's next `dense_snap` block and counts the entries some
+        /// consumer may read, a sparse row appends their frontier entries
+        /// with `set_at <= maxlast`. A row unchanged since every consumer's
+        /// last visit yields an empty slot without a scan.
+        #[allow(clippy::too_many_arguments)] // split-out arena parts
+        fn snapshot(
+            table: &mut Table<'_>,
+            node: usize,
+            maxlast: u32,
+            dense_ok: bool,
+            snap: &mut Vec<Snap>,
+            dense_snap: &mut Vec<u32>,
+            dense_len: &mut usize,
+            entries: &mut u64,
+        ) -> Slot {
+            let start = snap.len() as u32;
+            let Some(dense) = table.classify(node, maxlast, dense_ok) else {
+                return Slot::Sparse { start, len: 0 };
+            };
+            let n = table.ncols;
+            let (ea, hops, set_at) = table.row(node);
+            if dense {
+                let base = *dense_len;
+                *dense_len += 3 * n;
+                if dense_snap.len() < *dense_len {
+                    dense_snap.resize(*dense_len, 0);
+                }
+                let block = &mut dense_snap[base..*dense_len];
+                for (wi, &mark) in table.marks(node).iter().enumerate() {
+                    if mark > maxlast {
+                        continue;
+                    }
+                    let w = wi * 64..(wi * 64 + 64).min(n);
+                    block[w.clone()].copy_from_slice(&ea[w.clone()]);
+                    block[n + w.start..n + w.end].copy_from_slice(&hops[w.clone()]);
+                    block[2 * n + w.start..2 * n + w.end].copy_from_slice(&set_at[w]);
+                    *entries += u64::from(table.read_bits[wi].count_ones());
+                }
+                return Slot::Dense { base: base as u32, node: node as u32 };
+            }
+            for (wi, &word) in table.read_bits.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let c = (wi as u32) * 64 + bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let s = set_at[c as usize];
+                    if s <= maxlast {
+                        snap.push(Snap {
+                            col: c,
+                            ea: ea[c as usize],
+                            hops: hops[c as usize],
+                            set_at: s,
+                        });
+                    }
+                }
+            }
+            *entries += (snap.len() as u32 - start) as u64;
+            Slot::Sparse { start, len: snap.len() as u32 - start }
+        }
+
+        /// One traversal's chain offers from the snapshot `slot` into row
+        /// `row`, filtered by the traversal's watermark `last`.
+        #[allow(clippy::too_many_arguments)] // split-out arena parts
         #[inline(always)]
-        fn offer(
-            cells: &mut [Cell],
-            frontier: &mut [u64],
-            words_per_row: usize,
-            dirty: &mut Vec<(usize, u32)>,
-            dirty_bits: &mut [u64],
-            ea_bits: &mut [u64],
-            delta: bool,
-            bit_base: usize,
-            epoch: u32,
-            idx: usize,
-            row_node: u32,
-            col: u32,
+        fn chain(
+            table: &mut Table<'_>,
+            row: usize,
+            slot: Slot,
+            snap: &[Snap],
+            dense_snap: &[u32],
+            last: u32,
+            diag: u32,
             k: u32,
-            arr: u32,
-            h: u32,
-            collect: bool,
-            sums: &mut DistanceSums,
-        ) {
-            let cell = &mut cells[idx];
-            let live = cell.stamp == epoch;
-            let cur = if live { cell.ea } else { NONE_EA };
-            if arr < cur {
-                if !live {
-                    // first touch this run: enters the frontier
-                    cell.stamp = epoch;
-                    cell.set_at = k;
-                    frontier[row_node as usize * words_per_row + (col as usize >> 6)] |=
-                        1u64 << (col & 63);
-                    if !delta {
-                        dirty.push((idx, NONE_EA));
-                    }
-                } else if cell.set_at != k {
-                    if collect {
-                        flush_distances(cell, k, sums);
-                    }
-                    if !delta {
-                        dirty.push((idx, cur));
-                    }
-                    cell.set_at = k;
+            dirty: &mut [u64],
+            ea_bits: &mut [u64],
+            sums: Option<&mut DistanceSums>,
+        ) -> u64 {
+            match slot {
+                Slot::Dense { base, node } => {
+                    let n = table.ncols;
+                    let src = &dense_snap[base as usize..][..3 * n];
+                    table.ready(row);
+                    table.offer_row(
+                        row,
+                        node as usize,
+                        Some((&src[..n], &src[n..2 * n], &src[2 * n..])),
+                        last,
+                        diag,
+                        k,
+                        dirty,
+                        ea_bits,
+                    )
                 }
-                cell.ea = arr;
-                cell.hops = h;
-                if delta {
-                    let w = bit_base + (col as usize >> 6);
-                    let bit = 1u64 << (col & 63);
-                    dirty_bits[w] |= bit;
-                    ea_bits[w] |= bit;
-                }
-            } else if arr == cur && arr != NONE_EA && h < cell.hops {
-                if cell.set_at != k {
-                    if collect {
-                        flush_distances(cell, k, sums);
+                Slot::Sparse { start, len } => {
+                    let mut offers = 0;
+                    let mut sums = sums;
+                    for s in &snap[start as usize..(start + len) as usize] {
+                        if s.col == diag || s.set_at > last {
+                            continue;
+                        }
+                        offers += 1;
+                        table.offer(
+                            row,
+                            s.col,
+                            k,
+                            s.ea,
+                            s.hops + 1,
+                            dirty,
+                            ea_bits,
+                            sums.as_deref_mut(),
+                        );
                     }
-                    if !delta {
-                        dirty.push((idx, cur));
-                    }
-                    cell.set_at = k;
-                }
-                cell.hops = h;
-                if delta {
-                    dirty_bits[bit_base + (col as usize >> 6)] |= 1u64 << (col & 63);
+                    offers
                 }
             }
         }
 
-        /// Flushes the distance contribution of a live cell's value, valid
-        /// for departure steps `[new_k + 1, set_at]`, before replacement.
-        #[inline]
-        fn flush_distances(cell: &Cell, new_k: u32, sums: &mut DistanceSums) {
-            debug_assert!(cell.ea != NONE_EA);
-            let hi = cell.set_at as i128; // inclusive
-            let lo = new_k as i128 + 1; // inclusive
-            if hi < lo {
-                return;
-            }
-            let cnt = hi - lo + 1;
-            // Σ_{t=lo..hi} (a - t + 1) = cnt·(a + 1) - Σ t
-            let sum_t = (lo + hi) * cnt / 2;
-            sums.sum_dtime_steps += cnt * (cell.ea as i128 + 1) - sum_t;
-            sums.sum_dhops += cnt * cell.hops as i128;
-            sums.finite_triples += cnt;
-        }
+        // The delta watermark of one (edge, direction): the step at which it
+        // last consumed its continuation row, or `NEVER` ("offer
+        // everything") when it has not fired this run — or always, under
+        // `no_delta_propagation`.
+        let wm_last = |wm: &[u32], idx: usize| if overridden { NEVER } else { wm[idx] };
 
         // Cooperative cancellation: polled once per CANCEL_STRIDE steps —
         // coarse enough to stay invisible in the hot loop, fine enough that
@@ -624,142 +1003,101 @@ impl EngineArena {
                 }
             }
             let k = step.index;
-
             if degree1 && step.len() == 1 {
                 // Degree-1 fast path (module docs): one edge `(eu, ew)`,
                 // no slot machinery. Direction `eu -> ew` writes only row
                 // `eu`, so row `ew` stays pre-step and is read live; for the
-                // undirected reverse direction, row `eu`'s frontier is
-                // snapshotted (one flat append) *before* the forward
-                // direction dirties it — the strict inequality of Remark 1,
-                // with half the snapshot writes and zero bookkeeping.
-                // Delta propagation applies per direction: a continuation
-                // row unchanged since the direction's last visit is skipped
-                // outright (for the reverse direction that skips building
-                // the snapshot at all — the tail's dominant cost), and a
-                // changed row only offers the entries installed since.
+                // undirected reverse direction, row `eu` is snapshotted
+                // *before* the forward direction dirties it — the strict
+                // inequality of Remark 1, with half the snapshot writes and
+                // zero bookkeeping. Delta propagation applies per direction:
+                // a continuation row unchanged since the direction's last
+                // visit is skipped outright (for the reverse direction that
+                // skips building the snapshot at all — the tail's dominant
+                // cost), and a changed row only offers the entries installed
+                // since.
                 let (eu, ew) = (step.src[0], step.dst[0]);
                 degree1_steps += 1;
                 debug_assert_ne!(eu, ew, "streams never carry self-loops");
                 debug_assert!(snap.is_empty() && slotted.is_empty());
-                if delta {
-                    // fixed dirty-bitmap slots: row eu -> 0, row ew -> 1
-                    let need = 2 * words_per_row;
-                    if dirty_bits.len() < need {
-                        dirty_bits.resize(need, 0);
-                        ea_bits.resize(need, 0);
-                    }
-                    report_order.push((eu, 0));
-                    if undirected {
-                        report_order.push((ew, 1));
-                    }
+                // fixed dirty-bitmap slots: row eu -> 0, row ew -> 1
+                let need = 2 * words_per_row;
+                if dirty_bits.len() < need {
+                    dirty_bits.resize(need, 0);
+                    ea_bits.resize(need, 0);
                 }
+                report_order.push((eu, 0));
+                if undirected {
+                    report_order.push((ew, 1));
+                }
+                let (dirty_fwd, dirty_rev) = dirty_bits[..need].split_at_mut(words_per_row);
+                let (ea_fwd, ea_rev) = ea_bits[..need].split_at_mut(words_per_row);
                 let wi_fwd = step.pair[0] as usize * 2;
-                let last_fwd = wm_last(wm, wm_stamp, epoch, wi_fwd, delta);
-                let last_rev = if undirected {
-                    wm_last(wm, wm_stamp, epoch, wi_fwd + 1, delta)
+                let last_fwd = wm_last(wm, wi_fwd);
+                wm[wi_fwd] = k;
+                let rev_slot = if undirected {
+                    let last_rev = wm_last(wm, wi_fwd + 1);
+                    wm[wi_fwd + 1] = k;
+                    let slot = snapshot(
+                        &mut table,
+                        eu as usize,
+                        last_rev,
+                        dense_ok,
+                        snap,
+                        dense_snap,
+                        &mut 0,
+                        &mut snap_entries,
+                    );
+                    Some((slot, last_rev))
                 } else {
-                    0
+                    None
                 };
-                if delta {
-                    wm[wi_fwd] = k;
-                    wm_stamp[wi_fwd] = epoch;
-                    if undirected {
-                        wm[wi_fwd + 1] = k;
-                        wm_stamp[wi_fwd + 1] = epoch;
-                    }
-                }
-                if undirected
-                    && row_mark(row_changed_at, row_changed_stamp, epoch, eu as usize)
-                        <= last_rev
-                {
-                    let row = eu as usize * ncols;
-                    let words = &frontier[eu as usize * words_per_row..][..words_per_row];
-                    for (wi, &word) in words.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let c = (wi as u32) * 64 + bits.trailing_zeros();
-                            bits &= bits - 1;
-                            let cell = &cells[row + c as usize];
-                            if cell.set_at <= last_rev {
-                                snap.push(Snap {
-                                    col: c,
-                                    ea: cell.ea,
-                                    hops: cell.hops,
-                                    set_at: cell.set_at,
-                                });
-                            }
-                        }
-                    }
-                }
                 // forward direction eu -> ew: chains over row ew, read live
-                {
-                    traversals += 1;
-                    let row = eu as usize * ncols;
-                    if let Some(c) = local_col(ew) {
-                        offer(
-                            cells,
-                            frontier,
-                            words_per_row,
-                            dirty,
-                            dirty_bits,
-                            ea_bits,
-                            delta,
-                            0,
-                            epoch,
-                            row + c as usize,
-                            eu,
-                            c,
-                            k,
-                            k,
-                            1,
-                            collect,
-                            &mut sums,
+                traversals += 1;
+                if let Some(c) = local_col(ew) {
+                    table.offer(
+                        eu as usize,
+                        c,
+                        k,
+                        k,
+                        1,
+                        dirty_fwd,
+                        ea_fwd,
+                        collect.then_some(&mut sums),
+                    );
+                }
+                if let Some(dense) = table.classify(ew as usize, last_fwd, dense_ok) {
+                    let diag = local_col(eu).unwrap_or(u32::MAX);
+                    let (row_u, row_w) = (eu as usize, ew as usize);
+                    if dense {
+                        table.ready(row_u);
+                        chain_offers += table.offer_row(
+                            row_u, row_w, None, last_fwd, diag, k, dirty_fwd, ea_fwd,
                         );
-                    }
-                    if row_mark(row_changed_at, row_changed_stamp, epoch, ew as usize)
-                        <= last_fwd
-                    {
-                        let diag = local_col(eu).unwrap_or(u32::MAX);
-                        let row_w = ew as usize * ncols;
-                        let fw = ew as usize * words_per_row;
+                    } else {
                         for wi in 0..words_per_row {
                             // copy the word: offers touch row eu's words
-                            // only, never row ew's, so each copy is the
-                            // pre-step value
-                            let mut bits = frontier[fw + wi];
+                            // only, never row ew's, so each entry read is
+                            // the pre-step value
+                            let mut bits = table.read_bits[wi];
                             while bits != 0 {
                                 let c = (wi as u32) * 64 + bits.trailing_zeros();
                                 bits &= bits - 1;
-                                if c == diag {
-                                    continue;
-                                }
-                                let (s_ea, s_hops, s_set_at) = {
-                                    let cell = &cells[row_w + c as usize];
-                                    (cell.ea, cell.hops, cell.set_at)
-                                };
-                                if s_set_at > last_fwd {
+                                let src = row_w * ncols + c as usize;
+                                if c == diag || table.set_at[src] > last_fwd {
                                     continue;
                                 }
                                 chain_offers += 1;
-                                offer(
-                                    cells,
-                                    frontier,
-                                    words_per_row,
-                                    dirty,
-                                    dirty_bits,
-                                    ea_bits,
-                                    delta,
-                                    0,
-                                    epoch,
-                                    row + c as usize,
-                                    eu,
+                                let (s_ea, s_hops) = (table.ea[src], table.hops[src]);
+                                table.offer(
+                                    row_u,
                                     c,
                                     k,
                                     s_ea,
                                     s_hops + 1,
-                                    collect,
-                                    &mut sums,
+                                    dirty_fwd,
+                                    ea_fwd,
+                                    collect.then_some(&mut sums),
                                 );
                             }
                         }
@@ -767,56 +1105,33 @@ impl EngineArena {
                 }
                 // reverse direction ew -> eu: chains over the (already
                 // delta-filtered) snapshot
-                if undirected {
+                if let Some((slot, last_rev)) = rev_slot {
                     traversals += 1;
-                    let row = ew as usize * ncols;
                     if let Some(c) = local_col(eu) {
-                        offer(
-                            cells,
-                            frontier,
-                            words_per_row,
-                            dirty,
-                            dirty_bits,
-                            ea_bits,
-                            delta,
-                            words_per_row,
-                            epoch,
-                            row + c as usize,
-                            ew,
+                        table.offer(
+                            ew as usize,
                             c,
                             k,
                             k,
                             1,
-                            collect,
-                            &mut sums,
+                            dirty_rev,
+                            ea_rev,
+                            collect.then_some(&mut sums),
                         );
                     }
-                    let diag = local_col(ew).unwrap_or(u32::MAX);
-                    for s in snap.iter() {
-                        if s.col == diag {
-                            continue;
-                        }
-                        chain_offers += 1;
-                        offer(
-                            cells,
-                            frontier,
-                            words_per_row,
-                            dirty,
-                            dirty_bits,
-                            ea_bits,
-                            delta,
-                            words_per_row,
-                            epoch,
-                            row + s.col as usize,
-                            ew,
-                            s.col,
-                            k,
-                            s.ea,
-                            s.hops + 1,
-                            collect,
-                            &mut sums,
-                        );
-                    }
+                    chain_offers += chain(
+                        &mut table,
+                        ew as usize,
+                        slot,
+                        snap,
+                        dense_snap,
+                        last_rev,
+                        local_col(ew).unwrap_or(u32::MAX),
+                        k,
+                        dirty_rev,
+                        ea_rev,
+                        collect.then_some(&mut sums),
+                    );
                 }
             } else {
                 // 1. Assign snapshot slots to every endpoint of the step. Reads
@@ -829,70 +1144,48 @@ impl EngineArena {
                         let slot = slotted.len() as u32;
                         slot_of[node as usize] = slot;
                         slotted.push(node);
-                        // 0 = "no consumer yet": live watermarks and row marks
-                        // at step k are always >= k + 1 >= 1, so 0 filters
+                        // 0 = "no consumer yet": watermarks and row marks at
+                        // step k are always >= k + 1 >= 1, so 0 filters
                         // everything out
-                        slot_maxlast.push(if delta { 0 } else { NEVER });
-                        if delta {
-                            report_order.push((node, slot));
-                        }
+                        slot_maxlast.push(0);
+                        report_order.push((node, slot));
                     }
                 }
-                if delta {
-                    let need = slotted.len() * words_per_row;
-                    if dirty_bits.len() < need {
-                        dirty_bits.resize(need, 0);
-                        ea_bits.resize(need, 0);
-                    }
+                let need = slotted.len() * words_per_row;
+                if dirty_bits.len() < need {
+                    dirty_bits.resize(need, 0);
+                    ea_bits.resize(need, 0);
                 }
-                // 1b. (delta) Per slot, the most permissive consumer watermark:
-                //     the snapshot below keeps exactly the entries at least one
+                // 1b. Per slot, the most permissive consumer watermark: the
+                //     snapshot below keeps exactly the entries at least one
                 //     of the step's consuming directions still needs.
-                if delta {
-                    for e in 0..step.len() {
-                        let wi = step.pair[e] as usize * 2;
-                        let heads: [(usize, u32); 2] =
-                            [(wi, step.dst[e]), (wi + 1, step.src[e])];
-                        let nheads = if undirected { 2 } else { 1 };
-                        for &(wi, head) in &heads[..nheads] {
-                            let last = wm_last(wm, wm_stamp, epoch, wi, true);
-                            let slot = slot_of[head as usize] as usize;
-                            slot_maxlast[slot] = slot_maxlast[slot].max(last);
-                        }
+                for e in 0..step.len() {
+                    let wi = step.pair[e] as usize * 2;
+                    let heads: [(usize, u32); 2] = [(wi, step.dst[e]), (wi + 1, step.src[e])];
+                    let nheads = if undirected { 2 } else { 1 };
+                    for &(wi, head) in &heads[..nheads] {
+                        let slot = slot_of[head as usize] as usize;
+                        slot_maxlast[slot] = slot_maxlast[slot].max(wm_last(wm, wi));
                     }
                 }
-                // 2. Snapshot the pre-step frontier of every slotted row — only
-                //    pre-step values are ever read, which is exactly the strict
-                //    inequality of Remark 1 — filtered to the entries installed
-                //    since some consumer's last visit. A row whose most recent
-                //    change predates every consumer's watermark skips the scan
-                //    outright (its entries all have `set_at > maxlast`).
+                // 2. Snapshot the pre-step row of every slotted node — only
+                //    pre-step values are ever read, which is exactly the
+                //    strict inequality of Remark 1 — as a row copy (dense)
+                //    or the frontier entries installed since some consumer's
+                //    last visit (sparse).
+                let mut dense_len = 0;
                 for (si, &node) in slotted.iter().enumerate() {
-                    let start = snap.len() as u32;
-                    let maxlast = slot_maxlast[si];
-                    if row_mark(row_changed_at, row_changed_stamp, epoch, node as usize)
-                        <= maxlast
-                    {
-                        let row = node as usize * ncols;
-                        let words = &frontier[node as usize * words_per_row..][..words_per_row];
-                        for (wi, &word) in words.iter().enumerate() {
-                            let mut bits = word;
-                            while bits != 0 {
-                                let c = (wi as u32) * 64 + bits.trailing_zeros();
-                                bits &= bits - 1;
-                                let cell = &cells[row + c as usize];
-                                if cell.set_at <= maxlast {
-                                    snap.push(Snap {
-                                        col: c,
-                                        ea: cell.ea,
-                                        hops: cell.hops,
-                                        set_at: cell.set_at,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    slot_bounds.push((start, snap.len() as u32 - start));
+                    let slot = snapshot(
+                        &mut table,
+                        node as usize,
+                        slot_maxlast[si],
+                        dense_ok,
+                        snap,
+                        dense_snap,
+                        &mut dense_len,
+                        &mut snap_entries,
+                    );
+                    slots.push(slot);
                 }
 
                 // 3. Process every traversal of the step against the snapshots,
@@ -905,69 +1198,42 @@ impl EngineArena {
                     let ndirs = if undirected { 2 } else { 1 };
                     for &(u, w, wi) in &dirs[..ndirs] {
                         traversals += 1;
-                        let row = u as usize * ncols;
                         // dirty-bitmap tile of the written row (= row u)
-                        let bit_base = slot_of[u as usize] as usize * words_per_row;
+                        let base = slot_of[u as usize] as usize * words_per_row;
+                        let dirty = &mut dirty_bits[base..base + words_per_row];
+                        let eab = &mut ea_bits[base..base + words_per_row];
                         // single hop: u -> w at step k (never delta-filtered —
                         // its candidate `(k, 1)` is new every step)
                         if let Some(c) = local_col(w) {
-                            offer(
-                                cells,
-                                frontier,
-                                words_per_row,
-                                dirty,
-                                dirty_bits,
-                                ea_bits,
-                                delta,
-                                bit_base,
-                                epoch,
-                                row + c as usize,
-                                u,
+                            table.offer(
+                                u as usize,
                                 c,
                                 k,
                                 k,
                                 1,
-                                collect,
-                                &mut sums,
-                            );
-                        }
-                        let last = wm_last(wm, wm_stamp, epoch, wi, delta);
-                        if delta {
-                            wm[wi] = k;
-                            wm_stamp[wi] = epoch;
-                        }
-                        // chain: u -(k)-> w, then w's pre-step frontier entries
-                        // changed since this direction last consumed them
-                        let slot = slot_of[w as usize] as usize;
-                        let (start, len) = slot_bounds[slot];
-                        // diagonal column to skip (no u -> u trips); NONE_COL
-                        // sentinel can never equal a stored column
-                        let diag = local_col(u).unwrap_or(u32::MAX);
-                        for s in &snap[start as usize..(start + len) as usize] {
-                            if s.col == diag || s.set_at > last {
-                                continue;
-                            }
-                            chain_offers += 1;
-                            offer(
-                                cells,
-                                frontier,
-                                words_per_row,
                                 dirty,
-                                dirty_bits,
-                                ea_bits,
-                                delta,
-                                bit_base,
-                                epoch,
-                                row + s.col as usize,
-                                u,
-                                s.col,
-                                k,
-                                s.ea,
-                                s.hops + 1,
-                                collect,
-                                &mut sums,
+                                eab,
+                                collect.then_some(&mut sums),
                             );
                         }
+                        let last = wm_last(wm, wi);
+                        wm[wi] = k;
+                        // chain: u -(k)-> w, then w's pre-step entries changed
+                        // since this direction last consumed them; the
+                        // diagonal column is skipped (no u -> u trips)
+                        chain_offers += chain(
+                            &mut table,
+                            u as usize,
+                            slots[slot_of[w as usize] as usize],
+                            snap,
+                            dense_snap,
+                            last,
+                            local_col(u).unwrap_or(u32::MAX),
+                            k,
+                            dirty,
+                            eab,
+                            collect.then_some(&mut sums),
+                        );
                     }
                 }
             }
@@ -977,93 +1243,66 @@ impl EngineArena {
             //    regardless of frontier insertion order. (Equal to (u, v)
             //    order when the TargetSet's columns are node-sorted, which
             //    all built-in constructors guarantee except a caller-ordered
-            //    TargetSet::from_nodes.)
-            if delta {
-                // Walk the per-slot dirty bitmaps with slots in ascending
-                // node order: set bits ascend within a row, so the
-                // canonical order falls out with no per-step sort (the
-                // pre-delta path below pays an O(changes log changes) sort
-                // here — the dominant cost at trip-dense fine scales). An
-                // `ea_bits` bit is set iff the cell's ea strictly improved
-                // this step — exactly the minimal-trip condition — while
-                // `dirty_bits` (any change, hops ties included) feeds the
-                // per-row change marks the delta filters read.
-                report_order.sort_unstable();
-                for &(node, slot) in report_order.iter() {
-                    let base = slot as usize * words_per_row;
-                    let row = node as usize * ncols;
-                    let mut row_changed = false;
-                    for (wi, dirty_word) in
-                        dirty_bits[base..base + words_per_row].iter_mut().enumerate()
-                    {
-                        if *dirty_word == 0 {
-                            continue;
-                        }
-                        *dirty_word = 0;
-                        row_changed = true;
-                        let ea_word = &mut ea_bits[base + wi];
-                        let mut bits = *ea_word;
-                        *ea_word = 0;
-                        while bits != 0 {
-                            let c = (wi as u32) * 64 + bits.trailing_zeros();
-                            bits &= bits - 1;
-                            let cell = &cells[row + c as usize];
-                            let v = targets.node_of(col_start + c);
-                            sink.minimal_trip(node, v, k, cell.ea, cell.hops);
-                            trips += 1;
-                        }
+            //    TargetSet::from_nodes.) Walk the per-slot dirty bitmaps with
+            //    slots in ascending node order: set bits ascend within a
+            //    row, so the canonical order falls out with no per-step
+            //    sort. An `ea_bits` bit is set iff the cell's ea strictly
+            //    improved this step — exactly the minimal-trip condition —
+            //    while `dirty_bits` (any change, hops ties included) feeds
+            //    the per-word change marks the delta filters read.
+            report_order.sort_unstable();
+            for &(node, slot) in report_order.iter() {
+                let base = slot as usize * words_per_row;
+                let row = node as usize * ncols;
+                for (wi, dirty_word) in
+                    dirty_bits[base..base + words_per_row].iter_mut().enumerate()
+                {
+                    if *dirty_word == 0 {
+                        continue;
                     }
-                    if row_changed {
-                        row_changed_at[node as usize] = k;
-                        row_changed_stamp[node as usize] = epoch;
-                    }
-                }
-                report_order.clear();
-            } else {
-                // pre-delta path: sort the flat dirty list into canonical
-                // order, report strict ea improvements vs the pre-step value
-                dirty.sort_unstable_by_key(|&(idx, _)| idx);
-                for &(idx, pre_ea) in dirty.iter() {
-                    let cell = &cells[idx];
-                    if cell.ea < pre_ea {
-                        let u = (idx / ncols) as u32;
-                        let v = targets.node_of(col_start + (idx % ncols) as u32);
-                        sink.minimal_trip(u, v, k, cell.ea, cell.hops);
+                    *dirty_word = 0;
+                    table.word_changed_at[node as usize * words_per_row + wi] = k;
+                    let ea_word = &mut ea_bits[base + wi];
+                    let mut bits = *ea_word;
+                    *ea_word = 0;
+                    while bits != 0 {
+                        let c = (wi as u32) * 64 + bits.trailing_zeros();
+                        bits &= bits - 1;
+                        let idx = row + c as usize;
+                        let v = targets.node_of(col_start + c);
+                        sink.minimal_trip(node, v, k, table.ea[idx], table.hops[idx]);
                         trips += 1;
                     }
                 }
-                dirty.clear();
             }
+            report_order.clear();
 
             // 5. Release snapshot slots and buffers (capacity kept).
-            snap_entries += snap.len() as u64;
             for &node in slotted.iter() {
                 slot_of[node as usize] = NEVER;
             }
             slotted.clear();
-            slot_bounds.clear();
+            slots.clear();
             slot_maxlast.clear();
             snap.clear();
         }
 
         // Final distance flush: each surviving value is valid for departure
-        // steps [0, set_at]. Only frontier cells can carry finite values.
+        // steps [0, set_at]. Only frontier cells carry finite values.
         let distances = if collect {
             for node in 0..nrows {
-                let row = node * ncols;
-                let words = &frontier[node * words_per_row..][..words_per_row];
-                for (wi, &word) in words.iter().enumerate() {
+                let (ea, hops, set_at) = table.row(node);
+                for (wi, &word) in table.frontier_row(node).iter().enumerate() {
                     let mut bits = word;
                     while bits != 0 {
-                        let c = (wi as u32) * 64 + bits.trailing_zeros();
+                        let c = wi * 64 + bits.trailing_zeros() as usize;
                         bits &= bits - 1;
-                        let cell = &cells[row + c as usize];
-                        debug_assert!(cell.ea != NONE_EA && cell.stamp == epoch);
-                        let hi = cell.set_at as i128;
+                        debug_assert!(ea[c] != NONE_EA);
+                        let hi = set_at[c] as i128;
                         let cnt = hi + 1; // steps 0..=hi
                         let sum_t = hi * (hi + 1) / 2;
-                        sums.sum_dtime_steps += cnt * (cell.ea as i128 + 1) - sum_t;
-                        sums.sum_dhops += cnt * cell.hops as i128;
+                        sums.sum_dtime_steps += cnt * (ea[c] as i128 + 1) - sum_t;
+                        sums.sum_dhops += cnt * hops[c] as i128;
                         sums.finite_triples += cnt;
                     }
                 }
@@ -1097,7 +1336,7 @@ pub fn earliest_arrival_dp(
 }
 
 /// [`earliest_arrival_dp`] against caller-owned state: the arena's tables
-/// are reused (epoch-stamped, not re-zeroed) when consecutive runs share
+/// are reused (grown, never cleared) when consecutive runs share
 /// dimensions — the hot configuration of the Δ sweep.
 pub fn earliest_arrival_dp_in(
     arena: &mut EngineArena,
@@ -1837,6 +2076,132 @@ mod tests {
             assert_eq!(df.sum_dtime_steps, db.sum_dtime_steps, "k={k}");
             assert_eq!(df.sum_dhops, db.sum_dhops, "k={k}");
             assert_eq!(df.finite_triples, db.finite_triples, "k={k}");
+        }
+    }
+
+    /// A timeline whose hub row `w` holds exactly `live` columns of the first
+    /// tile (`0..width`) when its consumers read it. Latest steps: `w` reaches
+    /// `x_1..x_live` (distinct first-tile nodes). Then: `(w, x_1)` again in
+    /// the same step as consumer `(u1, w)`, and `(u1, w)` alone one step
+    /// earlier — the entry installed in the consumer's own step sits exactly
+    /// at its watermark (`set_at == last`). Then a multi-edge consumer step
+    /// and single-edge consumers that are themselves hub targets, whose own
+    /// column is the diagonal. Earliest steps: seeded noise, which can only
+    /// touch rows after the hub's consumers have read it.
+    fn crossover_stream(
+        directedness: Directedness,
+        width: u32,
+        live: u32,
+        seed: u64,
+    ) -> saturn_linkstream::LinkStream {
+        let n = width + 6;
+        let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |bound: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % u64::from(bound)) as u32
+        };
+        let mut first_tile: Vec<u32> = (0..width).collect();
+        for i in (1..first_tile.len()).rev() {
+            first_tile.swap(i, next(i as u32 + 1) as usize);
+        }
+        let xs = &first_tile[..live as usize];
+        let (w, u1, u2, u3) = (width, width + 1, width + 2, width + 3);
+        let mut b = saturn_linkstream::LinkStreamBuilder::indexed(directedness, n);
+        for (j, &x) in xs.iter().enumerate() {
+            b.add_indexed(w, x, 2000 + j as i64);
+        }
+        if let Some(&x1) = xs.first() {
+            b.add_indexed(w, x1, 1500);
+        }
+        b.add_indexed(u1, w, 1500);
+        b.add_indexed(u1, w, 1499);
+        b.add_indexed(u2, w, 1498);
+        b.add_indexed(u3, w, 1498);
+        b.add_indexed(u1, u2, 1498);
+        for &x in xs.iter().take(3) {
+            b.add_indexed(x, w, 1400 + i64::from(x % 90));
+            b.add_indexed(u3, x, 1300 + i64::from(x % 90));
+        }
+        for _ in 0..3 * n {
+            let (u, v) = (next(n), next(n));
+            if u != v {
+                b.add_indexed(u, v, i64::from(next(40)));
+            }
+        }
+        b.build().expect("non-empty")
+    }
+
+    /// Continuation rows at the dense crossover's popcount threshold − 1,
+    /// threshold and threshold + 1 (where the width allows), on tile widths
+    /// around the 64-column word, directed and undirected, with distances
+    /// on (sparse kernel only) and off: every tile's trip stream equals the
+    /// baseline's stream restricted to the tile's columns, in order, and
+    /// traversals and summed distances match. One arena serves every case,
+    /// so geometry changes are covered too.
+    #[test]
+    fn dense_crossover_matches_baseline() {
+        let mut arena = EngineArena::new();
+        for width in [1u32, 63, 64, 65, 130] {
+            let threshold = (0..=width)
+                .find(|&p| row_is_dense(p as usize, width as usize))
+                .expect("a full row is dense");
+            assert!(threshold >= 1, "an empty row is never dense");
+            for live in threshold - 1..=(threshold + 1).min(width) {
+                for directedness in [Directedness::Directed, Directedness::Undirected] {
+                    for seed in 1..=2 {
+                        let stream = crossover_stream(directedness, width, live, seed);
+                        let t = Timeline::exact(&stream);
+                        let targets = TargetSet::all(t.n());
+                        for collect in [false, true] {
+                            let case = format!(
+                                "width={width} live={live} {directedness:?} seed={seed} \
+                                 collect={collect}"
+                            );
+                            let options =
+                                DpOptions { collect_distances: collect, ..Default::default() };
+                            let mut full = Collect::default();
+                            let b =
+                                baseline::earliest_arrival_dp(&t, &targets, &mut full, options);
+                            let mut sums = DistanceSums::default();
+                            for (start, len) in targets.tile_ranges(width as usize) {
+                                let mut tile = Collect::default();
+                                let s = earliest_arrival_dp_tile_in(
+                                    &mut arena,
+                                    &t,
+                                    &targets,
+                                    start,
+                                    len as usize,
+                                    &mut tile,
+                                    options,
+                                );
+                                let cols = start..start + len;
+                                let expected: Vec<_> = full
+                                    .0
+                                    .iter()
+                                    .copied()
+                                    .filter(|&(_, v, ..)| {
+                                        cols.contains(&targets.col_of(v).unwrap())
+                                    })
+                                    .collect();
+                                assert_eq!(tile.0, expected, "{case} tile={start}");
+                                assert_eq!(s.traversals, b.traversals, "{case} tile={start}");
+                                if let Some(d) = s.distances {
+                                    sums.sum_dtime_steps += d.sum_dtime_steps;
+                                    sums.sum_dhops += d.sum_dhops;
+                                    sums.finite_triples += d.finite_triples;
+                                }
+                            }
+                            if let Some(bd) = b.distances {
+                                assert_eq!(sums.sum_dtime_steps, bd.sum_dtime_steps, "{case}");
+                                assert_eq!(sums.sum_dhops, bd.sum_dhops, "{case}");
+                                assert_eq!(sums.finite_triples, bd.finite_triples, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -128,8 +128,9 @@ proptest! {
     }
 
     /// One arena carried across runs over random streams and scales is
-    /// indistinguishable from fresh allocation every run — the epoch
-    /// stamping never leaks state between scales. Delta propagation is
+    /// indistinguishable from fresh allocation every run — values left in
+    /// the never-cleared cell tables by earlier scales are never read,
+    /// since liveness (the frontier) is reset per run. Delta propagation is
     /// toggled per run, so stale watermarks / row marks / dirty bitmaps
     /// from a previous scale (whose pair ids mean different edges) must
     /// stay dead too.
