@@ -2,11 +2,12 @@
 """CI gate over BENCH_sweep.json: per-section schema validation.
 
 The sweep bench is the repository's perf trajectory record *and* its
-cross-engine correctness oracle: the intra_scale and delta sections each
-carry hard checksum comparisons (tiled vs untiled, delta-on vs delta-off)
-and the streaming section a refresh-vs-scratch report comparison, which
-must all hold — a divergence is a correctness bug in an execution knob
-that claims to be invisible, not benchmark noise. The sink section's trip
+cross-engine correctness oracle: every workload scale carries a hard
+checksum comparison of the current engine against the retained baseline
+engine, the intra_scale section one of tiled vs untiled runs, and the
+streaming section a refresh-vs-scratch report comparison, which must all
+hold — a divergence is a correctness bug, not benchmark noise. The sink
+section's trip
 and rate counts must be consistent (`0 < distinct_rates <= trips`); its
 timings are not gated. This script fails loudly, naming the workload and
 scale that diverged, if any section is missing, any checksum mismatches,
@@ -39,12 +40,21 @@ def section(bench, name):
 
 
 def check_workloads(bench):
-    """The per-workload pipeline sections: legacy vs current per scale."""
+    """The per-workload pipeline sections: legacy vs current per scale,
+    results checked equal at every scale."""
     for workload in WORKLOADS:
         rows = section(bench, workload).get("per_scale")
         require(rows, f"{workload}: per_scale is missing or empty")
+        require(
+            bench[workload].get("checksums_match") is True,
+            f"{workload}: current vs baseline engine checksum mismatch",
+        )
         for row in rows:
             k = row.get("k")
+            require(
+                row.get("checksum_match") is True,
+                f"{workload} k={k}: current vs baseline checksum diverged",
+            )
             require(
                 row.get("current_pipeline_seconds", 0) > 0,
                 f"{workload} k={k}: current_pipeline_seconds must be > 0",
@@ -56,7 +66,7 @@ def check_workloads(bench):
 
 
 def check_intra_scale(bench):
-    """Target tiling + degree-1 fast path: checksums and shape."""
+    """Target tiling: checksums and shape."""
     intra = section(bench, "intra_scale")
     require(
         intra.get("checksums_match") is True,
@@ -66,37 +76,6 @@ def check_intra_scale(bench):
     require(
         intra.get("single_scale_threads"), "intra_scale: no single-scale thread points"
     )
-    degree1 = intra.get("degree1") or {}
-    require(
-        degree1.get("fast_path_seconds", 0) > 0,
-        "intra_scale.degree1: fast_path_seconds must be > 0",
-    )
-    require(
-        degree1.get("single_edge_steps", 0) > 0,
-        "intra_scale.degree1: no single-edge steps measured",
-    )
-
-
-def check_delta(bench):
-    """Delta propagation ablation: per-workload per-scale checksums."""
-    delta = section(bench, "delta")
-    require(
-        delta.get("checksums_match") is True,
-        "delta: delta-on vs delta-off checksum mismatch",
-    )
-    for workload in WORKLOADS:
-        rows = delta.get(workload)
-        require(rows, f"delta: section has no {workload} scales")
-        for row in rows:
-            k = row.get("k")
-            require(
-                row.get("checksum_match") is True,
-                f"delta: {workload} k={k} checksum diverged",
-            )
-            require(
-                row.get("delta_on_seconds", 0) > 0,
-                f"delta: {workload} k={k} delta_on_seconds must be > 0",
-            )
 
 
 def check_streaming(bench):
@@ -161,7 +140,7 @@ def check_sink(bench):
             )
 
 
-CHECKS = (check_workloads, check_intra_scale, check_delta, check_sink, check_streaming)
+CHECKS = (check_workloads, check_intra_scale, check_sink, check_streaming)
 
 
 def run_gate(bench):
@@ -185,11 +164,14 @@ def self_test():
         else:
             raise AssertionError(f"gate accepted a bench violating: {expect}")
 
-    failing(lambda b: b.pop("delta"), "`delta` is missing")
     failing(lambda b: b.pop("intra_scale"), "`intra_scale` is missing")
     failing(
-        lambda b: b["delta"]["sparse_ring"][0].update(checksum_match=False),
-        "checksum diverged",
+        lambda b: b["sparse_ring"]["per_scale"][0].update(checksum_match=False),
+        "current vs baseline checksum diverged",
+    )
+    failing(
+        lambda b: b["dense_uniform"].update(checksums_match=False),
+        "current vs baseline engine checksum mismatch",
     )
     failing(
         lambda b: b["intra_scale"].update(checksums_match=False),

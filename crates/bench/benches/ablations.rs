@@ -6,7 +6,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use saturn_core::{OccupancyMethod, SweepGrid};
 use saturn_distrib::{SelectionMetric, WeightedDist};
 use saturn_synth::TimeUniform;
-use saturn_trips::{dp::NullSink, earliest_arrival_dp, DpOptions, TargetSet, Timeline};
+use saturn_trips::{
+    dp::NullSink, earliest_arrival_dp_in, occupancy_histogram_on, DpOptions, EngineArena,
+    TargetSet, Timeline,
+};
 
 fn workload() -> saturn_linkstream::LinkStream {
     TimeUniform { nodes: 30, links_per_pair: 8, span: 50_000, seed: 5 }.generate()
@@ -15,7 +18,7 @@ fn workload() -> saturn_linkstream::LinkStream {
 /// Cost of each Section 7 uniformity metric on a realistic distribution.
 fn bench_selection_metrics(c: &mut Criterion) {
     let stream = workload();
-    let hist = saturn_trips::occupancy_histogram(&stream, 500, &TargetSet::all(30));
+    let hist = occupancy_histogram_on(&Timeline::aggregated(&stream, 500), &TargetSet::all(30));
     let dist = WeightedDist::from_pairs(hist.sorted_rates());
     let mut group = c.benchmark_group("selection_metric_cost");
     for metric in SelectionMetric::all() {
@@ -56,7 +59,8 @@ fn bench_distance_accumulation(c: &mut Criterion) {
     for (label, collect) in [("trips_only", false), ("with_distances", true)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &collect, |b, &collect| {
             b.iter(|| {
-                earliest_arrival_dp(
+                earliest_arrival_dp_in(
+                    &mut EngineArena::new(),
                     &timeline,
                     &TargetSet::all(30),
                     &mut NullSink,

@@ -143,113 +143,6 @@ fn bench_baseline_vs_frontier(c: &mut Criterion) {
     group.finish();
 }
 
-/// The degree-1 snapshot bypass vs the general snapshot path, on the
-/// workload it targets: `sparse_ring` at K = 100000, where every non-empty
-/// window holds exactly one edge and the general path pays two full row
-/// snapshots plus slot bookkeeping per step. Results are bit-identical
-/// (`remark1_ablation.rs`, `proptest_frontier.rs`); this group tracks the
-/// wall-time delta.
-fn bench_degree1_fast_path(c: &mut Criterion) {
-    let sparse = sparse_ring(600, 40);
-    let timeline = Timeline::aggregated(&sparse, 100_000);
-    let targets = TargetSet::all(600);
-    let single_edge = timeline.steps_desc().filter(|s| s.len() == 1).count();
-    assert!(
-        single_edge * 10 >= timeline.nonempty_steps() * 9,
-        "workload must be dominated by single-edge steps"
-    );
-    let mut group = c.benchmark_group("degree1_fast_path");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(timeline.total_edges() as u64));
-    group.bench_function("general_path", |b| {
-        let mut arena = EngineArena::new();
-        b.iter(|| {
-            earliest_arrival_dp_in(
-                &mut arena,
-                &timeline,
-                &targets,
-                &mut NullSink,
-                DpOptions { no_degree1_fast_path: true, ..Default::default() },
-            )
-        })
-    });
-    group.bench_function("fast_path", |b| {
-        let mut arena = EngineArena::new();
-        b.iter(|| {
-            earliest_arrival_dp_in(
-                &mut arena,
-                &timeline,
-                &targets,
-                &mut NullSink,
-                DpOptions::default(),
-            )
-        })
-    });
-    group.finish();
-}
-
-/// Bursty contact trains (same generator as `bench_sweep`'s `sparse_burst`
-/// workload): each pair fires in short trains of closely spaced events, so
-/// at fine scales the same edge recurs across consecutive windows while its
-/// continuation rows stay unchanged — the regime delta propagation targets.
-fn sparse_burst(n: u32, trains: i64, burst: i64) -> saturn_linkstream::LinkStream {
-    use saturn_linkstream::{Directedness, LinkStreamBuilder};
-    let mut b = LinkStreamBuilder::indexed(Directedness::Undirected, n);
-    for train in 0..trains {
-        for i in 0..n {
-            let start = train * 10_000 + (i as i64 * 389) % 7_919;
-            for e in 0..burst {
-                b.add_indexed(i, (i + 1) % n, start + e * 3);
-            }
-        }
-    }
-    b.build().unwrap()
-}
-
-/// Delta propagation (per-(edge, direction) watermarks + bitmap dirty sets)
-/// on vs off, on both sparse workloads: the recurring-contact ring (where
-/// the win is mostly the sort-free change-driven trip reporting) and the
-/// bursty contact trains (where the watermark filters additionally skip
-/// nearly every chain scan between in-train firings). Results are
-/// bit-identical either way (`proptest_frontier.rs`); this group tracks the
-/// wall-time delta.
-fn bench_delta_propagation(c: &mut Criterion) {
-    let ring = sparse_ring(600, 40);
-    let burst = sparse_burst(600, 8, 8);
-    let mut group = c.benchmark_group("delta_propagation");
-    group.sample_size(10);
-    for (label, stream, k) in [("ring600", &ring, 2_000u64), ("burst600", &burst, 10_000)] {
-        let timeline = Timeline::aggregated(stream, k);
-        let targets = TargetSet::all(600);
-        group.throughput(Throughput::Elements(timeline.total_edges() as u64));
-        group.bench_function(format!("{label}/delta_off"), |b| {
-            let mut arena = EngineArena::new();
-            b.iter(|| {
-                earliest_arrival_dp_in(
-                    &mut arena,
-                    &timeline,
-                    &targets,
-                    &mut NullSink,
-                    DpOptions { no_delta_propagation: true, ..Default::default() },
-                )
-            })
-        });
-        group.bench_function(format!("{label}/delta_on"), |b| {
-            let mut arena = EngineArena::new();
-            b.iter(|| {
-                earliest_arrival_dp_in(
-                    &mut arena,
-                    &timeline,
-                    &targets,
-                    &mut NullSink,
-                    DpOptions::default(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
 /// Aggregation from the shared sorted event view vs per-call sorting — the
 /// CSR timeline's second half.
 fn bench_view_aggregation(c: &mut Criterion) {
@@ -283,8 +176,6 @@ criterion_group!(
     bench_dp_scaling,
     bench_dp_vs_k,
     bench_baseline_vs_frontier,
-    bench_degree1_fast_path,
-    bench_delta_propagation,
     bench_view_aggregation,
     bench_aggregation,
     bench_mk_distance,

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use saturn_core::{OccupancyMethod, SweepGrid, TargetSpec};
 use saturn_synth::TimeUniform;
-use saturn_trips::{occupancy_histogram, TargetSet};
+use saturn_trips::{occupancy_histogram_on, TargetSet, Timeline};
 
 fn workload() -> saturn_linkstream::LinkStream {
     TimeUniform { nodes: 30, links_per_pair: 8, span: 50_000, seed: 5 }.generate()
@@ -57,7 +57,9 @@ fn bench_per_scale_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("per_scale_cost");
     for (label, k) in [("fine", span), ("mid", span / 100), ("coarse", 4u64)] {
         group.bench_with_input(BenchmarkId::from_parameter(label), &k, |b, &k| {
-            b.iter(|| occupancy_histogram(&stream, k, &TargetSet::all(30)))
+            b.iter(|| {
+                occupancy_histogram_on(&Timeline::aggregated(&stream, k), &TargetSet::all(30))
+            })
         });
     }
     group.finish();

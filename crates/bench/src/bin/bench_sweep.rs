@@ -13,18 +13,20 @@
 //! * `sparse_burst` — 600 nodes with bursty contact trains (face-to-face
 //!   dataset texture): the same edge recurs across consecutive fine-scale
 //!   windows with unchanged continuation rows, the regime the engine's
-//!   delta propagation targets (tracked in the `delta` section, with
-//!   hard-asserted delta-on == delta-off checksums on all three workloads).
-//!
-//! The `sink` section times the trip sink on all three workloads at three
-//! scales each: an occupancy-histogram run against the same DP feeding a
-//! null sink.
+//!   delta propagation targets.
 //!
 //! Per scale, both the pre-rework pipeline (per-call timeline build + the
 //! retained baseline engine with fresh tables) and the current pipeline
-//! (shared sorted event view + frontier/arena engine) are timed; end-to-end
-//! `OccupancyMethod::run` timings and a peak-RSS proxy (`VmHWM`) round out
-//! the record.
+//! (shared sorted event view + frontier/arena engine) are timed, one rep of
+//! each in turn so that drifts in machine speed land on both sides; the
+//! scale's `speedup` is the median of the per-rep ratios. The two engines'
+//! results are hard-asserted equal at every scale (`checksum_match`): trip
+//! streams with and without distance collection, and the distance sums.
+//!
+//! The `sink` section times the trip sink on all three workloads at three
+//! scales each: an occupancy-histogram run against the same DP feeding a
+//! null sink, again in turn. End-to-end `OccupancyMethod::run` timings and
+//! a peak-RSS proxy (`VmHWM`) round out the record.
 //!
 //! ```sh
 //! cargo run --release -p saturn-bench --bin bench_sweep           # full
@@ -39,7 +41,7 @@ use saturn_synth::TimeUniform;
 use saturn_trips::dp::{baseline, NullSink};
 use saturn_trips::{
     earliest_arrival_dp_in, occupancy_histogram_tile_in, DpOptions, DpStats, EngineArena,
-    EventView, OccupancyHistogram, TargetSet, Timeline,
+    EventView, OccupancyHistogram, TargetSet, Timeline, TripSink,
 };
 use serde_json::Value;
 use std::time::Instant;
@@ -48,17 +50,45 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Object(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Median-of-`reps` wall time of `f`, in seconds.
-fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
+/// Wall time of one call of `f`, in seconds.
+fn timed<R>(f: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    std::hint::black_box(f());
+    start.elapsed().as_secs_f64()
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// Median-of-`reps` wall time of `f`, in seconds.
+fn time_median<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
+    median((0..reps).map(|_| timed(&mut f)).collect())
+}
+
+/// Times `a` and `b` in turn for `reps` pairs, alternating which side runs
+/// first. Returns the median seconds of `a`, of `b`, and the median of the
+/// per-pair ratios `a / b`.
+fn time_pairs<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (f64, f64, f64) {
+    let (mut ta, mut tb, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..reps {
+        let (x, y) = if rep % 2 == 0 {
+            let x = timed(&mut a);
+            (x, timed(&mut b))
+        } else {
+            let y = timed(&mut b);
+            (timed(&mut a), y)
+        };
+        ta.push(x);
+        tb.push(y);
+        ratios.push(x / y);
+    }
+    (median(ta), median(tb), median(ratios))
 }
 
 /// Peak resident set size in kilobytes, read from `/proc/self/status`
@@ -100,6 +130,38 @@ fn sparse_burst(n: u32, trains: i64, burst: i64) -> LinkStream {
     b.build().unwrap()
 }
 
+/// Folds a trip stream, in report order, into one word.
+#[derive(Default)]
+struct ChecksumSink(u64);
+
+impl TripSink for ChecksumSink {
+    fn minimal_trip(&mut self, u: u32, v: u32, dep: u32, arr: u32, hops: u32) {
+        let mut x = self.0 ^ (u as u64 | (v as u64) << 32);
+        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
+        x ^= dep as u64 | (arr as u64) << 20 | (hops as u64) << 44;
+        self.0 = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
+    }
+}
+
+/// A full-result checksum of one engine, driven by `run`: the trip-stream
+/// folds of a plain run (the sweep's kernels) and of a distance run (the
+/// sparse kernel only), plus the distance run's exact sums. Also returns
+/// the plain run's traversal count. The current engine claims results
+/// bit-identical to the baseline's, so any divergence is a correctness bug,
+/// not noise.
+fn engine_checksum(
+    mut run: impl FnMut(&mut ChecksumSink, DpOptions<'static>) -> DpStats,
+) -> ((u64, u64, i128, i128, i128), u64) {
+    let (mut plain, mut dist) = (ChecksumSink::default(), ChecksumSink::default());
+    let stats = run(&mut plain, DpOptions::default());
+    let d = run(&mut dist, DpOptions { collect_distances: true, ..Default::default() })
+        .distances
+        .expect("distances collected");
+    let checksum =
+        (plain.0 ^ stats.trips, dist.0, d.sum_dtime_steps, d.sum_dhops, d.finite_triples);
+    (checksum, stats.traversals)
+}
+
 /// Times one workload across `scales`; returns `(json, Σ legacy, Σ current)`.
 fn measure_workload(
     name: &str,
@@ -113,42 +175,43 @@ fn measure_workload(
     println!("workload {name}: n={n} events={} span={}", stream.len(), stream.span());
 
     let mut per_scale = Vec::new();
+    let mut all_match = true;
     let mut total_legacy = 0.0f64;
     let mut total_current = 0.0f64;
+    let mut arena = EngineArena::new();
     for &k in scales {
         let timeline = Timeline::aggregated_from_view(&view, k);
-        let traversals = {
-            let mut arena = EngineArena::new();
-            earliest_arrival_dp_in(
-                &mut arena,
-                &timeline,
-                &targets,
-                &mut NullSink,
-                DpOptions::default(),
-            )
-            .traversals
-        };
+        let (current, traversals) = engine_checksum(|sink, options| {
+            earliest_arrival_dp_in(&mut arena, &timeline, &targets, sink, options)
+        });
+        let (legacy, _) = engine_checksum(|sink, options| {
+            baseline::earliest_arrival_dp(&timeline, &targets, sink, options)
+        });
+        let ok = current == legacy;
+        all_match &= ok;
+        assert!(ok, "current vs baseline engine checksum diverged: {name} k={k}");
 
-        // pre-rework pipeline: per-call timeline build + fresh-table engine
-        let t_legacy = time_median(reps, || {
-            let t = Timeline::aggregated(stream, k);
-            baseline::earliest_arrival_dp(&t, &targets, &mut NullSink, DpOptions::default())
-        });
+        // pre-rework pipeline: per-call timeline build + fresh-table engine;
         // current pipeline: shared view + frontier/arena engine
-        let mut arena = EngineArena::new();
-        let t_current = time_median(reps, || {
-            let t = Timeline::aggregated_from_view(&view, k);
-            earliest_arrival_dp_in(
-                &mut arena,
-                &t,
-                &targets,
-                &mut NullSink,
-                DpOptions::default(),
-            )
-        });
+        let (t_legacy, t_current, speedup) = time_pairs(
+            reps,
+            || {
+                let t = Timeline::aggregated(stream, k);
+                baseline::earliest_arrival_dp(&t, &targets, &mut NullSink, DpOptions::default())
+            },
+            || {
+                let t = Timeline::aggregated_from_view(&view, k);
+                earliest_arrival_dp_in(
+                    &mut arena,
+                    &t,
+                    &targets,
+                    &mut NullSink,
+                    DpOptions::default(),
+                )
+            },
+        );
         total_legacy += t_legacy;
         total_current += t_current;
-        let speedup = t_legacy / t_current;
         println!(
             "  k={k:>7}  legacy {:>9.3} ms  current {:>9.3} ms  ({speedup:.2}x)  \
              {:.1}M traversals/s",
@@ -164,12 +227,14 @@ fn measure_workload(
             ("current_pipeline_seconds", Value::Float(t_current)),
             ("speedup", Value::Float(speedup)),
             ("traversals_per_second", Value::Float(traversals as f64 / t_current)),
+            ("checksum_match", Value::Bool(ok)),
         ]));
     }
     let json = obj(vec![
         ("nodes", Value::Int(n as i128)),
         ("events", Value::Int(stream.len() as i128)),
         ("span_ticks", Value::Int(stream.span() as i128)),
+        ("checksums_match", Value::Bool(all_match)),
         ("per_scale", Value::Array(per_scale)),
         ("workload_speedup", Value::Float(total_legacy / total_current)),
     ]);
@@ -198,31 +263,33 @@ fn histograms_match(a: &OccupancyHistogram, b: &OccupancyHistogram) -> bool {
 
 /// The `sink` section: what counting trips into the occupancy histogram
 /// costs on top of the DP. Per workload and scale, one untiled histogram run
-/// is timed against the same DP feeding a [`NullSink`]; `trips_per_s` is
-/// trips over the histogram run's seconds.
+/// is timed in turn with the same DP feeding a [`NullSink`], each side on
+/// its own arena; `trips_per_s` is trips over the histogram run's seconds.
 fn measure_sink(workloads: &[(&str, &LinkStream)], scales: &[u64], reps: usize) -> Value {
     let mut sections = Vec::new();
     for &(name, stream) in workloads {
         let targets = TargetSet::all(stream.node_count() as u32);
         let ncols = targets.len();
         let view = EventView::new(stream);
-        let mut arena = EngineArena::new();
+        let (mut hist_arena, mut null_arena) = (EngineArena::new(), EngineArena::new());
         let mut per_scale = Vec::new();
         for &k in scales {
             let timeline = Timeline::aggregated_from_view(&view, k);
-            let hist = occupancy_histogram_tile_in(&mut arena, &timeline, &targets, 0, ncols);
-            let t_hist = time_median(reps, || {
-                occupancy_histogram_tile_in(&mut arena, &timeline, &targets, 0, ncols)
-            });
-            let t_null = time_median(reps, || {
-                earliest_arrival_dp_in(
-                    &mut arena,
-                    &timeline,
-                    &targets,
-                    &mut NullSink,
-                    DpOptions::default(),
-                )
-            });
+            let hist =
+                occupancy_histogram_tile_in(&mut hist_arena, &timeline, &targets, 0, ncols);
+            let (t_hist, t_null, _) = time_pairs(
+                reps,
+                || occupancy_histogram_tile_in(&mut hist_arena, &timeline, &targets, 0, ncols),
+                || {
+                    earliest_arrival_dp_in(
+                        &mut null_arena,
+                        &timeline,
+                        &targets,
+                        &mut NullSink,
+                        DpOptions::default(),
+                    )
+                },
+            );
             let trips = hist.total_trips();
             let trips_per_s = trips as f64 / t_hist;
             println!(
@@ -250,12 +317,7 @@ fn measure_sink(workloads: &[(&str, &LinkStream)], scales: &[u64], reps: usize) 
 /// The `intra_scale` section: what the second parallel axis costs and buys.
 /// Tiled-vs-untiled checksums are hard-asserted — a mismatch aborts the
 /// bench (and CI) rather than recording garbage trend data.
-fn measure_intra_scale(
-    dense: &LinkStream,
-    sparse: &LinkStream,
-    fast: bool,
-    reps: usize,
-) -> Value {
+fn measure_intra_scale(dense: &LinkStream, fast: bool, reps: usize) -> Value {
     // --- tile-size sensitivity on one dense scale, single-threaded --------
     let k = if fast { 1_000u64 } else { 10_000 };
     let targets = TargetSet::all(dense.node_count() as u32);
@@ -313,38 +375,6 @@ fn measure_intra_scale(
         ]));
     }
 
-    // --- degree-1 fast path on the snapshot-bound sparse fine tail --------
-    let kd = if fast { 10_000u64 } else { 100_000 };
-    let stargets = TargetSet::all(sparse.node_count() as u32);
-    let sview = EventView::new(sparse);
-    let stimeline = Timeline::aggregated_from_view(&sview, kd);
-    let degree1_steps = stimeline.steps_desc().filter(|s| s.len() == 1).count();
-    let t_general = time_median(reps, || {
-        earliest_arrival_dp_in(
-            &mut arena,
-            &stimeline,
-            &stargets,
-            &mut NullSink,
-            DpOptions { no_degree1_fast_path: true, ..Default::default() },
-        )
-    });
-    let t_fast = time_median(reps, || {
-        earliest_arrival_dp_in(
-            &mut arena,
-            &stimeline,
-            &stargets,
-            &mut NullSink,
-            DpOptions::default(),
-        )
-    });
-    let speedup = t_general / t_fast;
-    println!(
-        "  intra_scale degree1 sparse k={kd} ({degree1_steps} single-edge steps): \
-         general {:.3} ms, fast {:.3} ms ({speedup:.3}x)",
-        t_general * 1e3,
-        t_fast * 1e3,
-    );
-
     obj(vec![
         ("dense_scale_k", Value::Int(k as i128)),
         ("untiled_seconds", Value::Float(t_untiled)),
@@ -352,105 +382,7 @@ fn measure_intra_scale(
         ("checksums_match", Value::Bool(checksums_match)),
         ("tile_sensitivity", Value::Array(tile_sensitivity)),
         ("single_scale_threads", Value::Array(single_scale_threads)),
-        (
-            "degree1",
-            obj(vec![
-                ("k", Value::Int(kd as i128)),
-                ("single_edge_steps", Value::Int(degree1_steps as i128)),
-                ("general_seconds", Value::Float(t_general)),
-                ("fast_path_seconds", Value::Float(t_fast)),
-                ("speedup", Value::Float(speedup)),
-            ]),
-        ),
     ])
-}
-
-/// A full-result checksum of one engine run — a mixing fold over the trip
-/// stream (order-sensitive) plus the exact distance sums — together with
-/// the run's [`DpStats`] (offer/snapshot counters for the JSON). Delta
-/// propagation claims bit-identical results, so any checksum divergence is
-/// a correctness bug, not noise.
-fn engine_checksum(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    options: DpOptions,
-) -> ((u64, i128, i128, i128), DpStats) {
-    let mut acc = 0u64;
-    let mut sink = |u: u32, v: u32, dep: u32, arr: u32, hops: u32| {
-        let mut x = acc ^ (u as u64 | (v as u64) << 32);
-        x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
-        x ^= dep as u64 | (arr as u64) << 20 | (hops as u64) << 44;
-        acc = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    };
-    let stats = earliest_arrival_dp_in(
-        arena,
-        timeline,
-        targets,
-        &mut sink,
-        DpOptions { collect_distances: true, ..options },
-    );
-    let d = stats.distances.unwrap();
-    ((acc ^ stats.trips, d.sum_dtime_steps, d.sum_dhops, d.finite_triples), stats)
-}
-
-/// The `delta` section: change-driven offers (watermark filtering) on vs
-/// off, per scale, on all three workloads. Checksums (trip stream +
-/// distance sums) are hard-asserted equal — delta propagation must be
-/// invisible in results, visible only in wall time.
-fn measure_delta(workloads: &[(&str, &LinkStream)], scales: &[u64], reps: usize) -> Value {
-    let mut sections = Vec::new();
-    let mut all_match = true;
-    for &(name, stream) in workloads {
-        let targets = TargetSet::all(stream.node_count() as u32);
-        let view = EventView::new(stream);
-        let mut arena = EngineArena::new();
-        let mut per_scale = Vec::new();
-        for &k in scales {
-            let timeline = Timeline::aggregated_from_view(&view, k);
-            let off_opts = DpOptions { no_delta_propagation: true, ..Default::default() };
-            let on_opts = DpOptions::default();
-            let (sum_off, stats_off) =
-                engine_checksum(&mut arena, &timeline, &targets, off_opts);
-            let (sum_on, stats_on) = engine_checksum(&mut arena, &timeline, &targets, on_opts);
-            let ok = sum_off == sum_on;
-            all_match &= ok;
-            assert!(ok, "delta-on vs delta-off checksum diverged: {name} k={k}");
-            let t_off = time_median(reps, || {
-                earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut NullSink, off_opts)
-            });
-            let t_on = time_median(reps, || {
-                earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut NullSink, on_opts)
-            });
-            let speedup = t_off / t_on;
-            println!(
-                "  delta {name} k={k:>7}  off {:>9.3} ms  on {:>9.3} ms  ({speedup:.2}x)  \
-                 offers {} -> {}  snap {} -> {}",
-                t_off * 1e3,
-                t_on * 1e3,
-                stats_off.chain_offers,
-                stats_on.chain_offers,
-                stats_off.snap_entries,
-                stats_on.snap_entries,
-            );
-            per_scale.push(obj(vec![
-                ("k", Value::Int(k as i128)),
-                ("delta_off_seconds", Value::Float(t_off)),
-                ("delta_on_seconds", Value::Float(t_on)),
-                ("speedup", Value::Float(speedup)),
-                ("chain_offers_off", Value::Int(stats_off.chain_offers as i128)),
-                ("chain_offers_on", Value::Int(stats_on.chain_offers as i128)),
-                ("snap_entries_off", Value::Int(stats_off.snap_entries as i128)),
-                ("snap_entries_on", Value::Int(stats_on.snap_entries as i128)),
-                ("trips", Value::Int(stats_on.trips as i128)),
-                ("checksum_match", Value::Bool(ok)),
-            ]));
-        }
-        sections.push((name, Value::Array(per_scale)));
-    }
-    let mut entries: Vec<(&str, Value)> = vec![("checksums_match", Value::Bool(all_match))];
-    entries.extend(sections);
-    obj(entries)
 }
 
 /// The `streaming` section: what an ingest session's sweep cache buys. A
@@ -630,13 +562,6 @@ fn main() {
     let (sparse_json, sl, sc) = measure_workload("sparse_ring", &sparse, &scales, reps);
     let (burst_json, bl, bc) = measure_workload("sparse_burst", &burst, &scales, reps);
 
-    println!("delta propagation (change-driven offers) on vs off:");
-    let delta = measure_delta(
-        &[("dense_uniform", &dense), ("sparse_ring", &sparse), ("sparse_burst", &burst)],
-        &scales,
-        reps,
-    );
-
     println!("trip sink (occupancy histogram vs null sink):");
     let sink_scales = [scales[0], scales[scales.len() / 2], scales[scales.len() - 1]];
     let sink = measure_sink(
@@ -645,8 +570,8 @@ fn main() {
         reps,
     );
 
-    println!("intra-scale parallelism (target tiling + degree-1 fast path):");
-    let intra_scale = measure_intra_scale(&dense, &sparse, fast, reps);
+    println!("intra-scale parallelism (target tiling):");
+    let intra_scale = measure_intra_scale(&dense, fast, reps);
 
     println!("streaming ingest refresh (session sweep cache) vs scratch sweeps:");
     let streaming = measure_streaming(fast, reps);
@@ -674,8 +599,9 @@ fn main() {
             Value::String(
                 "Sweep-engine perf trajectory: per-scale wall time of the pre-rework \
                  pipeline (per-call timeline build + fresh-table baseline engine) vs the \
-                 current pipeline (shared sorted event view + frontier/arena engine), \
-                 traversal throughput, end-to-end method timings. Regenerate: cargo run \
+                 current pipeline (shared sorted event view + frontier/arena engine), timed \
+                 in turn, with their results checked equal; traversal throughput, \
+                 end-to-end method timings. Regenerate: cargo run \
                  --release -p saturn-bench --bin bench_sweep"
                     .to_string(),
             ),
@@ -696,7 +622,6 @@ fn main() {
         ("dense_uniform", dense_json),
         ("sparse_ring", sparse_json),
         ("sparse_burst", burst_json),
-        ("delta", delta),
         ("sink", sink),
         ("intra_scale", intra_scale),
         ("streaming", streaming),

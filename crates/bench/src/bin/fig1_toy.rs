@@ -11,7 +11,9 @@
 
 use saturn_graphseries::GraphSeries;
 use saturn_linkstream::{io, Directedness, NodeId};
-use saturn_trips::{earliest_arrival_dp, DpOptions, TargetSet, Timeline, TripSink};
+use saturn_trips::{
+    earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink,
+};
 
 #[derive(Default)]
 struct Collect(Vec<(u32, u32, u32, u32, u32)>);
@@ -24,7 +26,13 @@ impl TripSink for Collect {
 
 fn trips_of(timeline: &Timeline, n: u32) -> Vec<(u32, u32, u32, u32, u32)> {
     let mut sink = Collect::default();
-    earliest_arrival_dp(timeline, &TargetSet::all(n), &mut sink, DpOptions::default());
+    earliest_arrival_dp_in(
+        &mut EngineArena::new(),
+        timeline,
+        &TargetSet::all(n),
+        &mut sink,
+        DpOptions::default(),
+    );
     sink.0
 }
 

@@ -11,7 +11,7 @@ use saturn_bench::{ascii_curve, dataset, downsample, grid_points, write_series, 
 use saturn_core::{OccupancyMethod, SweepGrid};
 use saturn_distrib::WeightedDist;
 use saturn_synth::DatasetProfile;
-use saturn_trips::{occupancy_histogram, TargetSet};
+use saturn_trips::{occupancy_histogram_on, TargetSet, Timeline};
 
 fn main() {
     let profile = dataset(DatasetProfile::irvine());
@@ -34,7 +34,7 @@ fn main() {
     let targets = TargetSet::all(stream.node_count() as u32);
     for &i in &picks {
         let r = &report.results()[i];
-        let hist = occupancy_histogram(&stream, r.k, &targets);
+        let hist = occupancy_histogram_on(&Timeline::aggregated(&stream, r.k), &targets);
         let dist = WeightedDist::from_pairs(hist.sorted_rates());
         let icd = downsample(&dist.icd_points(), 2_000);
         let tag = if r.k == gamma.k { "_gamma" } else { "" };

@@ -7,7 +7,7 @@ use saturn_bench::{dataset, downsample, grid_points, write_series, HOUR};
 use saturn_core::{OccupancyMethod, SweepGrid};
 use saturn_distrib::WeightedDist;
 use saturn_synth::DatasetProfile;
-use saturn_trips::{occupancy_histogram, TargetSet};
+use saturn_trips::{occupancy_histogram_on, TargetSet, Timeline};
 
 fn main() {
     for profile in
@@ -27,7 +27,7 @@ fn main() {
         let targets = TargetSet::all(stream.node_count() as u32);
         for &i in &picks {
             let r = &report.results()[i];
-            let hist = occupancy_histogram(&stream, r.k, &targets);
+            let hist = occupancy_histogram_on(&Timeline::aggregated(&stream, r.k), &targets);
             let dist = WeightedDist::from_pairs(hist.sorted_rates());
             write_series(
                 &format!("fig4_{}_icd_delta_{:.0}s.dat", profile.name, r.delta_ticks),

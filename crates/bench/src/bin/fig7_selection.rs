@@ -11,7 +11,7 @@ use saturn_bench::{dataset, downsample, grid_points, write_series, HOUR};
 use saturn_core::{compare_selection_methods, KeepPolicy, SweepGrid, TargetSpec};
 use saturn_distrib::{SelectionMetric, WeightedDist};
 use saturn_synth::DatasetProfile;
-use saturn_trips::{occupancy_histogram, TargetSet};
+use saturn_trips::{occupancy_histogram_on, TargetSet, Timeline};
 
 fn main() {
     let profile = dataset(DatasetProfile::irvine());
@@ -50,8 +50,10 @@ fn main() {
         // this scale; keeping every sweep distribution would hold millions
         // of rates per fine scale in memory)
         if let Some(g) = gamma {
-            let hist =
-                occupancy_histogram(&stream, g.k, &TargetSet::all(stream.node_count() as u32));
+            let hist = occupancy_histogram_on(
+                &Timeline::aggregated(&stream, g.k),
+                &TargetSet::all(stream.node_count() as u32),
+            );
             let dist = WeightedDist::from_pairs(hist.sorted_rates());
             let slug = metric.to_string().replace([' ', '(', ')', '-'], "_").to_lowercase();
             write_series(

@@ -138,7 +138,7 @@ fn synth_analyze_json_end_to_end() {
 }
 
 /// The execution-knob matrix the CI job scripts: every combination of
-/// `--no-delta`, `--tile`, and thread count must emit
+/// `--tile` and thread count must emit
 /// byte-identical JSON — the property that lets ops flip any knob on a
 /// live deployment without reports moving.
 #[test]
@@ -147,11 +147,8 @@ fn execution_knobs_do_not_change_report_bytes() {
     let path = path.to_str().unwrap();
     let baseline = saturn(&["analyze", path, "--points", "8", "--threads", "2", "--json"]);
     assert!(baseline.status.success(), "{}", String::from_utf8_lossy(&baseline.stderr));
-    for knobs in [
-        &["--no-delta"][..],
-        &["--tile", "7"],
-        &["--no-delta", "--tile", "3", "--threads", "1"],
-    ] {
+    for knobs in [&["--tile", "7"][..], &["--threads", "1"], &["--tile", "3", "--threads", "1"]]
+    {
         let mut args = vec!["analyze", path, "--points", "8", "--threads", "2", "--json"];
         args.extend_from_slice(knobs);
         let out = saturn(&args);

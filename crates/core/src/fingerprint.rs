@@ -214,7 +214,7 @@ mod tests {
     /// was introduced; an engine or digest change that shifts them must be
     /// a deliberate, versioned decision (bump the domain tags), not an
     /// accident — this test makes the accident loud. Execution knobs
-    /// (`tile`, `no_delta_propagation`) must never feed these digests.
+    /// (`tile`, thread count) must never feed these digests.
     #[test]
     fn fingerprints_are_pinned() {
         let s = io::read_str("a b 1\nb c 5\nc a 9\n", Directedness::Undirected).unwrap();

@@ -8,7 +8,7 @@ use rustc_hash::FxHashMap;
 use saturn_distrib::{SelectionMetric, WeightedDist};
 use saturn_linkstream::LinkStream;
 use saturn_trips::{
-    occupancy_histogram_tile_stats_in, Cancelled, DpOptions, EngineArena, EventView,
+    earliest_arrival_dp_in, Cancelled, DpOptions, EngineArena, EventView, HistogramSink,
     OccupancyHistogram, TargetSet, Timeline,
 };
 use serde::{Deserialize, Serialize};
@@ -219,7 +219,6 @@ pub struct OccupancyMethod {
     refine_rounds: usize,
     refine_points: usize,
     tile: usize,
-    no_delta: bool,
 }
 
 impl Default for OccupancyMethod {
@@ -234,7 +233,6 @@ impl Default for OccupancyMethod {
             refine_rounds: 2,
             refine_points: 8,
             tile: 0,
-            no_delta: false,
         }
     }
 }
@@ -302,16 +300,6 @@ impl OccupancyMethod {
         self
     }
 
-    /// Disables the DP engine's delta propagation (change-driven offers +
-    /// bitmap dirty sets; see `saturn_trips::dp` module docs). Results are
-    /// bit-identical either way, so — exactly like [`tile`](Self::tile) —
-    /// this is a pure execution knob for ablation benchmarking and never
-    /// enters content fingerprints.
-    pub fn no_delta_propagation(mut self, no_delta: bool) -> Self {
-        self.no_delta = no_delta;
-        self
-    }
-
     /// Scores one scale's merged histogram.
     fn delta_result(&self, span: i64, k: u64, hist: &OccupancyHistogram) -> DeltaResult {
         let dist = WeightedDist::from_pairs(hist.sorted_rates());
@@ -374,8 +362,6 @@ impl OccupancyMethod {
         let tile_cols = self.tile_cols(targets.len(), ks.len(), pool.parallelism());
         let items = sweep_queue(ks, &targets.tile_ranges(tile_cols));
         let tiles_in_scale = items.first().map_or(1, |item| item.tiles_in_scale);
-        let dp_options =
-            DpOptions { no_delta_propagation: self.no_delta, ..Default::default() };
 
         let timelines: Vec<Mutex<Option<Arc<Timeline>>>> =
             (0..ks.len()).map(|_| Mutex::new(None)).collect();
@@ -404,15 +390,15 @@ impl OccupancyMethod {
                     }),
             );
             let started = Instant::now();
-            let (hist, stats) = occupancy_histogram_tile_stats_in(
-                &mut arena,
-                &timeline,
-                targets,
-                item.col_start,
-                item.col_len as usize,
-                dp_options,
-                Some(&ctl.cancel),
-            );
+            let mut sink = HistogramSink::default();
+            let options = DpOptions {
+                cols: Some((item.col_start, item.col_len)),
+                cancel: Some(&ctl.cancel),
+                ..Default::default()
+            };
+            let stats =
+                earliest_arrival_dp_in(&mut arena, &timeline, targets, &mut sink, options);
+            let hist = sink.finish();
             let seconds = started.elapsed().as_secs_f64();
             drop(timeline);
             // A token fired mid-DP leaves `hist` partial; the guard keeps a
@@ -815,25 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn no_delta_propagation_is_bit_identical() {
-        let s = ring_stream(9, 90, 6);
-        let with_delta = OccupancyMethod::new()
-            .grid(SweepGrid::Geometric { points: 10 })
-            .threads(2)
-            .refine(1, 4)
-            .run(&s)
-            .to_json();
-        let without = OccupancyMethod::new()
-            .grid(SweepGrid::Geometric { points: 10 })
-            .threads(2)
-            .refine(1, 4)
-            .no_delta_propagation(true)
-            .run(&s)
-            .to_json();
-        assert_eq!(with_delta, without, "delta propagation must not change the report");
-    }
-
-    #[test]
     fn single_scale_fans_out_over_tiles() {
         // a one-scale sweep on a multi-worker pool: only tiling can feed it
         let s = ring_stream(24, 120, 7);
@@ -989,45 +956,35 @@ mod tests {
     #[test]
     fn refresh_is_byte_identical_to_scratch_and_reuses_scales() {
         let (old, new) = ring_with_appends(40);
-        for no_delta in [false, true] {
-            let method = OccupancyMethod::new()
-                .grid(SweepGrid::Geometric { points: 12 })
-                .refine(1, 4)
-                .no_delta_propagation(no_delta);
-            let mut pool = WorkerPool::new(2);
-            let mut cache = SweepCache::new();
-            // cold refresh == scratch run on the base stream
-            let cold = method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache);
-            assert_eq!(cold.unwrap().to_json(), method.run_on(&old, &mut pool).to_json());
-            assert_eq!(cache.stats.scales_reused, 0);
-            assert!(!cache.is_empty());
-            assert!(cache.heap_bytes() > SweepCache::new().heap_bytes());
-            // warm refresh after appends == scratch run on the grown stream
-            let warm = method
-                .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache)
-                .unwrap();
-            assert_eq!(
-                warm.to_json(),
-                method.run_on(&new, &mut pool).to_json(),
-                "refresh must be byte-identical to scratch (no_delta={no_delta})"
-            );
-            assert!(
-                cache.stats.scales_reused < cache.stats.scales_total,
-                "appends of new pairs recompute: {:?}",
-                cache.stats
-            );
-            // identical re-refresh with no appends: everything reuses
-            let again = method
-                .try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache)
-                .unwrap();
-            assert_eq!(again.to_json(), warm.to_json());
-            assert_eq!(
-                cache.stats.scales_reused, cache.stats.scales_total,
-                "{:?}",
-                cache.stats
-            );
-            assert!(cache.stats.tiles_skipped > 0);
-        }
+        let method =
+            OccupancyMethod::new().grid(SweepGrid::Geometric { points: 12 }).refine(1, 4);
+        let mut pool = WorkerPool::new(2);
+        let mut cache = SweepCache::new();
+        // cold refresh == scratch run on the base stream
+        let cold = method.try_refresh_on(&old, &mut pool, &SweepControl::new(), &mut cache);
+        assert_eq!(cold.unwrap().to_json(), method.run_on(&old, &mut pool).to_json());
+        assert_eq!(cache.stats.scales_reused, 0);
+        assert!(!cache.is_empty());
+        assert!(cache.heap_bytes() > SweepCache::new().heap_bytes());
+        // warm refresh after appends == scratch run on the grown stream
+        let warm =
+            method.try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache).unwrap();
+        assert_eq!(
+            warm.to_json(),
+            method.run_on(&new, &mut pool).to_json(),
+            "refresh must be byte-identical to scratch"
+        );
+        assert!(
+            cache.stats.scales_reused < cache.stats.scales_total,
+            "appends of new pairs recompute: {:?}",
+            cache.stats
+        );
+        // identical re-refresh with no appends: everything reuses
+        let again =
+            method.try_refresh_on(&new, &mut pool, &SweepControl::new(), &mut cache).unwrap();
+        assert_eq!(again.to_json(), warm.to_json());
+        assert_eq!(cache.stats.scales_reused, cache.stats.scales_total, "{:?}", cache.stats);
+        assert!(cache.stats.tiles_skipped > 0);
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Tiling and delta propagation must be invisible: an [`OccupancyMethod`]
-//! run split into target tiles of any width, on any thread count, with the
-//! DP engine's delta propagation on or off, must serialize to the *same
+//! Tiling must be invisible: an [`OccupancyMethod`] run split into target
+//! tiles of any width, on any thread count, must serialize to the *same
 //! bytes* as the untiled single-threaded run — the property that keeps the
 //! analysis service's content-addressed cache correct while the executor
-//! re-tiles work per hardware (and while ablation scripts flip
-//! `?no_delta=`). Tile widths 1, 3, `ncols`, and a proptest-chosen random
-//! width are exercised across 1/2/4/8 threads × delta on/off, with
+//! re-tiles work per hardware. Tile widths 1, 3, `ncols`, and a
+//! proptest-chosen random width are exercised across 1/2/4/8 threads, with
 //! refinement rounds on (the narrow rounds are where auto-tiling matters
 //! most).
 
@@ -27,24 +25,23 @@ fn build_stream(n: u32, events: usize, gap: i64, twist: u32) -> LinkStream {
     b.build().expect("non-empty stream")
 }
 
-fn method(threads: usize, tile: usize, no_delta: bool) -> OccupancyMethod {
+fn method(threads: usize, tile: usize) -> OccupancyMethod {
     OccupancyMethod::new()
         .grid(SweepGrid::Geometric { points: 8 })
         .threads(threads)
         .refine(1, 4)
         .keep(KeepPolicy::ScoresOnly)
         .tile(tile)
-        .no_delta_propagation(no_delta)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The acceptance matrix: tile ∈ {1, 3, ncols, random} × threads ∈
-    /// {1, 2, 4, 8} × delta {on, off}, every cell byte-identical to the
-    /// untiled single-threaded delta-on reference.
+    /// {1, 2, 4, 8}, every cell byte-identical to the untiled
+    /// single-threaded reference.
     #[test]
-    fn reports_are_bit_identical_across_threads_tiles_and_delta(
+    fn reports_are_bit_identical_across_threads_and_tiles(
         n in 5u32..10,
         events in 40usize..90,
         gap in 3i64..9,
@@ -53,20 +50,17 @@ proptest! {
     ) {
         let stream = build_stream(n, events, gap, twist);
         let ncols = n as usize;
-        let reference = method(1, ncols, false).run(&stream).to_json();
+        let reference = method(1, ncols).run(&stream).to_json();
         for &tile in &[1usize, 3, ncols, random_tile] {
             for &threads in &[1usize, 2, 4, 8] {
-                for &no_delta in &[false, true] {
-                    let report = method(threads, tile, no_delta).run(&stream).to_json();
-                    prop_assert_eq!(
-                        &report,
-                        &reference,
-                        "tile={} threads={} no_delta={} diverged",
-                        tile,
-                        threads,
-                        no_delta
-                    );
-                }
+                let report = method(threads, tile).run(&stream).to_json();
+                prop_assert_eq!(
+                    &report,
+                    &reference,
+                    "tile={} threads={} diverged",
+                    tile,
+                    threads
+                );
             }
         }
     }
@@ -81,21 +75,20 @@ proptest! {
         tile in 1usize..6,
     ) {
         let stream = build_stream(n, events, 5, 7);
-        let mk = |threads: usize, t: usize, no_delta: bool| {
+        let mk = |threads: usize, t: usize| {
             OccupancyMethod::new()
                 .grid(SweepGrid::Geometric { points: 6 })
                 .targets(TargetSpec::Sample { size: sample, seed: 3 })
                 .threads(threads)
                 .refine(1, 3)
                 .tile(t)
-                .no_delta_propagation(no_delta)
                 .run(&stream)
                 .to_json()
         };
-        let reference = mk(1, usize::MAX, true);
-        prop_assert_eq!(mk(4, tile, false), reference.clone());
-        prop_assert_eq!(mk(2, 1, false), reference.clone());
-        prop_assert_eq!(mk(2, tile, true), reference);
+        let reference = mk(1, usize::MAX);
+        prop_assert_eq!(mk(4, tile), reference.clone());
+        prop_assert_eq!(mk(2, 1), reference.clone());
+        prop_assert_eq!(mk(2, tile), reference);
     }
 
     /// The cancellation axis of the knob matrix: running under a
@@ -112,11 +105,11 @@ proptest! {
         tile in 1usize..8,
     ) {
         let stream = build_stream(n, events, gap, twist);
-        let reference = method(1, n as usize, false).run(&stream).to_json();
+        let reference = method(1, n as usize).run(&stream).to_json();
         for &threads in &[1usize, 4] {
             let ctl = SweepControl::new();
             let mut pool = WorkerPool::new(threads);
-            let report = method(threads, tile, false)
+            let report = method(threads, tile)
                 .try_run_on(&stream, &mut pool, &ctl)
                 .expect("token never fires")
                 .to_json();

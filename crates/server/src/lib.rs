@@ -11,7 +11,7 @@
 //! cold sweeps onto one process-wide [`WorkerPool`](saturn_core::parallel::WorkerPool).
 //!
 //! ```text
-//! POST /v1/analyze?directed=1&points=48&sample=64&seed=1&tile=0&no_delta=0&deadline_ms=0[&async=1]   trace body → occupancy report
+//! POST /v1/analyze?directed=1&points=48&sample=64&seed=1&tile=0&deadline_ms=0[&async=1]   trace body → occupancy report
 //! POST /v1/validate?points=32&weighted=1&delta_min=1&deadline_ms=0[&async=1]   trace body → loss curves
 //! POST /v1/stats?directed=1                                          trace body → stream statistics
 //! POST /v1/streams?t_begin=A&t_end=B[&directed=1]                    open a streaming ingest session (body may seed events)
@@ -388,11 +388,6 @@ pub struct ServerConfig {
     /// reports are bit-identical for every width, so it never enters cache
     /// fingerprints. Overridable per request with `?tile=N`.
     pub tile: usize,
-    /// Disable the DP engine's delta propagation for analyze sweeps. Like
-    /// `tile`, an execution knob for ablation scripting: results are
-    /// bit-identical either way, so it never enters cache fingerprints.
-    /// Overridable per request with `?no_delta=1`.
-    pub no_delta: bool,
     /// Report cache budget in bytes (0 disables the memory tier — no LRU
     /// is allocated).
     pub cache_bytes: usize,
@@ -435,7 +430,6 @@ impl Default for ServerConfig {
             threads: 0,
             stall_budget: jobs::DEFAULT_STALL_BUDGET,
             tile: 0,
-            no_delta: false,
             cache_bytes: 64 << 20,
             cache_dir: None,
             cache_disk_bytes: 64 << 20,
@@ -462,7 +456,6 @@ struct ServerContext {
     /// hold clones of this `Arc` and count into it directly.
     metrics: Arc<Metrics>,
     tile: usize,
-    no_delta: bool,
     max_body_bytes: usize,
     max_connections: usize,
     default_deadline_ms: u64,
@@ -519,7 +512,6 @@ impl Server {
                 jobs,
                 metrics: shared_metrics,
                 tile: config.tile,
-                no_delta: config.no_delta,
                 max_body_bytes: config.max_body_bytes,
                 max_connections: config.max_connections,
                 default_deadline_ms: config.default_deadline_ms,
@@ -982,19 +974,15 @@ fn cached_or_submitted(
 /// The server-level knob defaults a request's typed parameters fall back
 /// to (see [`params::RequestParams::parse`]).
 fn param_defaults(ctx: &ServerContext) -> ParamDefaults {
-    ParamDefaults {
-        deadline_ms: ctx.default_deadline_ms,
-        tile: ctx.tile,
-        no_delta: ctx.no_delta,
-    }
+    ParamDefaults { deadline_ms: ctx.default_deadline_ms, tile: ctx.tile }
 }
 
 fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
     let p = RequestParams::parse(request, &param_defaults(ctx))?;
     let stream = parse_stream(request)?;
-    // execution knobs only: tiled and delta-filtered reports are
-    // bit-identical to untiled / unfiltered ones, so `tile` and `no_delta`
-    // stay OUT of the fingerprint — a request served from an entry computed under different
+    // execution knob only: tiled reports are bit-identical to untiled
+    // ones, so `tile` stays OUT of the fingerprint — a request served from
+    // an entry computed under a different
     // execution settings returns the same bytes the cold run would have
     // produced. `deadline_ms` stays out too: a deadline either leaves the
     // result untouched or prevents there being one.
@@ -1009,13 +997,9 @@ fn endpoint_analyze(request: &Request, ctx: &ServerContext) -> Handled {
 
     let cache_insert = cache_filler(Arc::clone(&ctx.cache), key);
     let targets = p.targets;
-    let (tile, no_delta) = (p.tile, p.no_delta);
+    let tile = p.tile;
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        let method = OccupancyMethod::new()
-            .grid(grid)
-            .targets(targets)
-            .tile(tile)
-            .no_delta_propagation(no_delta);
+        let method = OccupancyMethod::new().grid(grid).targets(targets).tile(tile);
         match method.try_run_on(&stream, pool, &jctx.control) {
             // cancelled sweeps never reach the cache: only complete reports
             // are content-addressed

@@ -10,12 +10,11 @@
 //!
 //! | parameter | type | default | meaning |
 //! |-----------|------|---------|---------|
-//! | `points` | usize | 48 | geometric sweep grid size |
+//! | `points` | usize ≤ [`MAX_POINTS`] | 48 | geometric sweep grid size |
 //! | `sample` | u32 | absent = exact | target-set sample size |
 //! | `seed` | u64 | 1 | sampling seed (with `sample`) |
 //! | `deadline_ms` | u64 | server default | end-to-end deadline, 0 = none |
 //! | `tile` | usize | server default | sweep tile width, 0 = auto |
-//! | `no_delta` | 0/1 | server default | disable delta propagation |
 //! | `delta_min` | i64 | 1 | validation minimum delta |
 //! | `weighted` | 0/1 | 1 | validation weighted transitions |
 //! | `directed` | flag | off | parse the trace body as directed |
@@ -27,6 +26,12 @@ use saturn_core::TargetSpec;
 use saturn_linkstream::Directedness;
 use std::time::Duration;
 
+/// The largest `points` a request may ask for. The grid's `Δ` values are
+/// collected before they are deduplicated, so an unbounded `points` lets
+/// one query ask the connection thread for an arbitrarily large
+/// allocation; every client in the repository asks for at most 48.
+pub const MAX_POINTS: usize = 10_000;
+
 /// Server-level fallbacks for the per-request execution knobs (from the
 /// serve flags). Decoupled from the server context so the parser is unit-
 /// testable without binding a socket.
@@ -36,8 +41,6 @@ pub struct ParamDefaults {
     pub deadline_ms: u64,
     /// Default sweep tile width (0 = automatic).
     pub tile: usize,
-    /// Default delta-propagation disable switch.
-    pub no_delta: bool,
 }
 
 /// Every query parameter of the v1 API, parsed and defaulted.
@@ -51,8 +54,6 @@ pub struct RequestParams {
     pub deadline: Option<Duration>,
     /// `tile` over the server default (0 = automatic).
     pub tile: usize,
-    /// `no_delta` over the server default.
-    pub no_delta: bool,
     /// `delta_min` (validation sweeps).
     pub delta_min: i64,
     /// `weighted` (validation sweeps; default on).
@@ -75,17 +76,23 @@ impl RequestParams {
         // validated even when `sample` is absent: a garbled `seed` is a 400
         // like every other unparsable value, never silently ignored
         let seed = numeric(request, "seed", 1u64)?;
+        let points = numeric(request, "points", 48usize)?;
+        if points > MAX_POINTS {
+            return Err(ApiError::new(
+                400,
+                format!("query parameter points={points}: above the maximum of {MAX_POINTS}"),
+            ));
+        }
         Ok(RequestParams {
-            points: numeric(request, "points", 48usize)?,
+            points,
             targets: match request.param("sample") {
                 None => TargetSpec::All,
                 Some(_) => TargetSpec::Sample { size: numeric(request, "sample", 0u32)?, seed },
             },
             deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
             tile: numeric(request, "tile", defaults.tile)?,
-            no_delta: numeric::<u8>(request, "no_delta", defaults.no_delta as u8)? != 0,
             delta_min: numeric(request, "delta_min", 1i64)?,
-            weighted: request.param("weighted").is_none_or(|v| v != "0"),
+            weighted: numeric::<u8>(request, "weighted", 1)? != 0,
             directedness: if request.flag("directed") {
                 Directedness::Directed
             } else {
@@ -139,7 +146,6 @@ mod tests {
         assert_eq!(p.targets, TargetSpec::All);
         assert_eq!(p.deadline, None);
         assert_eq!(p.tile, 0);
-        assert!(!p.no_delta);
         assert_eq!(p.delta_min, 1);
         assert!(p.weighted);
         assert_eq!(p.directedness, Directedness::Undirected);
@@ -148,20 +154,15 @@ mod tests {
 
     #[test]
     fn server_defaults_flow_through() {
-        let defaults = ParamDefaults { deadline_ms: 1500, tile: 8, no_delta: true };
+        let defaults = ParamDefaults { deadline_ms: 1500, tile: 8 };
         let p = RequestParams::parse(&req(&[]), &defaults).unwrap();
         assert_eq!(p.deadline, Some(Duration::from_millis(1500)));
         assert_eq!(p.tile, 8);
-        assert!(p.no_delta);
         // per-request values override every server default
-        let p = RequestParams::parse(
-            &req(&[("deadline_ms", "0"), ("tile", "2"), ("no_delta", "0")]),
-            &defaults,
-        )
-        .unwrap();
+        let p = RequestParams::parse(&req(&[("deadline_ms", "0"), ("tile", "2")]), &defaults)
+            .unwrap();
         assert_eq!(p.deadline, None);
         assert_eq!(p.tile, 2);
-        assert!(!p.no_delta);
     }
 
     #[test]
@@ -172,7 +173,6 @@ mod tests {
             ("seed", "9"),
             ("deadline_ms", "250"),
             ("tile", "4"),
-            ("no_delta", "1"),
             ("delta_min", "5"),
             ("weighted", "0"),
             ("directed", "1"),
@@ -183,7 +183,6 @@ mod tests {
         assert_eq!(p.targets, TargetSpec::Sample { size: 64, seed: 9 });
         assert_eq!(p.deadline, Some(Duration::from_millis(250)));
         assert_eq!(p.tile, 4);
-        assert!(p.no_delta);
         assert_eq!(p.delta_min, 5);
         assert!(!p.weighted);
         assert_eq!(p.directedness, Directedness::Directed);
@@ -201,7 +200,7 @@ mod tests {
 
     #[test]
     fn every_numeric_parameter_rejects_garbage_with_400() {
-        for key in ["points", "sample", "seed", "deadline_ms", "tile", "no_delta", "delta_min"]
+        for key in ["points", "sample", "seed", "deadline_ms", "tile", "delta_min", "weighted"]
         {
             let e = parse(&[(key, "abc")]).unwrap_err();
             assert_eq!(e.status, 400, "{key}");
@@ -219,10 +218,24 @@ mod tests {
     fn negative_and_overflow_values_are_400s() {
         assert_eq!(parse(&[("points", "-1")]).unwrap_err().status, 400);
         assert_eq!(parse(&[("deadline_ms", "-5")]).unwrap_err().status, 400);
-        assert_eq!(parse(&[("no_delta", "256")]).unwrap_err().status, 400);
+        assert_eq!(parse(&[("weighted", "256")]).unwrap_err().status, 400);
         assert_eq!(parse(&[("seed", "99999999999999999999999")]).unwrap_err().status, 400);
         // i64 accepts negatives: delta_min=-3 parses (the sweep clamps it)
         assert_eq!(parse(&[("delta_min", "-3")]).unwrap().delta_min, -3);
+    }
+
+    #[test]
+    fn points_above_the_maximum_are_400s() {
+        assert_eq!(parse(&[("points", &MAX_POINTS.to_string())]).unwrap().points, MAX_POINTS);
+        for raw in [(MAX_POINTS + 1).to_string(), "10000000000".to_string()] {
+            let e = parse(&[("points", &raw)]).unwrap_err();
+            assert_eq!((e.status, e.code), (400, "bad_request"), "points={raw}");
+            assert!(
+                e.message.contains(&format!("query parameter points={raw}")),
+                "{}",
+                e.message
+            );
+        }
     }
 
     #[test]
@@ -243,8 +256,17 @@ mod tests {
     fn weighted_only_disables_on_literal_zero() {
         assert!(parse(&[]).unwrap().weighted);
         assert!(parse(&[("weighted", "1")]).unwrap().weighted);
-        assert!(parse(&[("weighted", "banana")]).unwrap().weighted);
         assert!(!parse(&[("weighted", "0")]).unwrap().weighted);
+        // a non-numeric value is a 400, not a silent "weighted"
+        for raw in ["false", "banana"] {
+            let e = parse(&[("weighted", raw)]).unwrap_err();
+            assert_eq!((e.status, e.code), (400, "bad_request"), "weighted={raw}");
+            assert!(
+                e.message.contains(&format!("query parameter weighted={raw}")),
+                "{}",
+                e.message
+            );
+        }
     }
 
     #[test]

@@ -438,13 +438,9 @@ fn refresh_analysis(request: &Request, ctx: &ServerContext, session: &Arc<Sessio
     let metrics = Arc::clone(&ctx.metrics);
     let session = Arc::clone(session);
     let targets = p.targets;
-    let (tile, no_delta) = (p.tile, p.no_delta);
+    let tile = p.tile;
     let work: jobs::JobWork = Box::new(move |pool, jctx| {
-        let method = OccupancyMethod::new()
-            .grid(grid)
-            .targets(targets)
-            .tile(tile)
-            .no_delta_propagation(no_delta);
+        let method = OccupancyMethod::new().grid(grid).targets(targets).tile(tile);
         let run = run_refresh(
             &method,
             &stream,

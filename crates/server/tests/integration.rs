@@ -12,7 +12,6 @@ fn start(tweak: impl FnOnce(&mut ServerConfig)) -> saturn_server::ServerHandle {
         addr: "127.0.0.1:0".into(),
         threads: 2,
         tile: 0,
-        no_delta: false,
         cache_bytes: 8 << 20,
         queue_depth: 16,
         max_body_bytes: 1 << 20,
@@ -151,62 +150,6 @@ fn tile_widths_return_byte_identical_reports() {
     }
     let bad = request(server.addr(), "POST", "/v1/analyze?points=8&tile=x", body.as_bytes());
     assert_eq!(bad.status, 400);
-    server.stop();
-}
-
-#[test]
-fn delta_settings_return_byte_identical_reports() {
-    // caching disabled: every request is a genuinely cold sweep, so the
-    // byte equality below is engine determinism (delta on vs off), not a
-    // cache hit
-    let server = start(|config| {
-        config.cache_bytes = 0;
-        config.threads = 3;
-    });
-    let body = trace(8, 220, 30);
-    let reference = request(server.addr(), "POST", "/v1/analyze?points=8", body.as_bytes());
-    assert_eq!(reference.status, 200);
-    assert!(!json(&reference)["results"].as_array().unwrap().is_empty());
-    for target in ["/v1/analyze?points=8&no_delta=1", "/v1/analyze?points=8&no_delta=0"] {
-        let toggled = request(server.addr(), "POST", target, body.as_bytes());
-        assert_eq!(toggled.status, 200, "{target}");
-        assert_eq!(
-            reference.body, toggled.body,
-            "{target}: delta propagation must not change report bytes"
-        );
-    }
-    // malformed values are rejected like ?tile's, not silently coerced
-    let bad =
-        request(server.addr(), "POST", "/v1/analyze?points=8&no_delta=x", body.as_bytes());
-    assert_eq!(bad.status, 400);
-    server.stop();
-}
-
-/// The delta-propagation rework must not move cache fingerprints: a report
-/// computed by the delta engine is served, byte-identical, to a request
-/// that asks for the pre-delta engine (`?no_delta=1`) — the knob, like
-/// `?tile=`, is not part of the content address.
-#[test]
-fn no_delta_requests_hit_the_same_cache_entry() {
-    let server = start(|_| {});
-    let body = trace(6, 200, 45);
-    let cold = request(server.addr(), "POST", "/v1/analyze?points=9", body.as_bytes());
-    assert_eq!(cold.status, 200);
-
-    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
-    let hits_before = health["cache"]["hits"].as_u64().unwrap();
-
-    let ablated =
-        request(server.addr(), "POST", "/v1/analyze?points=9&no_delta=1", body.as_bytes());
-    assert_eq!(ablated.status, 200);
-    assert_eq!(cold.body, ablated.body, "cached hit must be byte-identical");
-
-    let health = json(&request(server.addr(), "GET", "/v1/health", b""));
-    assert_eq!(
-        health["cache"]["hits"].as_u64().unwrap(),
-        hits_before + 1,
-        "?no_delta must address the same cache entry"
-    );
     server.stop();
 }
 
@@ -899,6 +842,11 @@ fn every_error_status_conforms_to_the_envelope_schema() {
         (request(addr, "GET", "/v1/streams", b""), 405, "method_not_allowed"),
         (request(addr, "POST", "/v1/analyze", b"not a trace"), 400, "bad_request"),
         (request(addr, "POST", "/v1/analyze?points=x", b"a b 1\na c 2\n"), 400, "bad_request"),
+        (
+            request(addr, "POST", "/v1/analyze?points=10000000000", b"a b 1\n"),
+            400,
+            "bad_request",
+        ),
         (request(addr, "POST", "/v1/analyze", big.as_bytes()), 413, "payload_too_large"),
         (request(addr, "POST", "/v1/streams?t_begin=9&t_end=1", b""), 400, "bad_request"),
         (request(addr, "POST", "/v1/streams", b""), 400, "bad_request"),

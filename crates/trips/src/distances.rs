@@ -12,7 +12,9 @@
 //! `O(1)` per table update (arithmetic series between change points), so the
 //! cost stays `O(nM)` even when the series has millions of windows.
 
-use crate::{dp::NullSink, earliest_arrival_dp, DpOptions, TargetSet, Timeline};
+use crate::{
+    dp::NullSink, earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline,
+};
 use saturn_linkstream::LinkStream;
 use serde::Serialize;
 
@@ -50,7 +52,8 @@ pub fn distance_means_on(
     k: u64,
     targets: &TargetSet,
 ) -> DistanceMeans {
-    let stats = earliest_arrival_dp(
+    let stats = earliest_arrival_dp_in(
+        &mut EngineArena::new(),
         timeline,
         targets,
         &mut NullSink,

@@ -80,7 +80,7 @@
 //! * **Tile locality.** The recurrence `ea[u][v] ← 1 + ea'[w][v]` never
 //!   reads a column other than `v`, so the engine can run on any contiguous
 //!   *column range* of the [`TargetSet`] in complete isolation
-//!   ([`earliest_arrival_dp_tile_in`]): the arena's tables, frontier bitmap
+//!   ([`DpOptions::cols`]): the arena's tables, frontier bitmap
 //!   and snapshot slots are all sized `n × tile` (better cache residency at
 //!   large `n`), columns are tile-local (`global − col_start`), and reported
 //!   trips / distance sums / per-tile `OccupancyHistogram`s partition the
@@ -93,12 +93,12 @@
 //!   reader's own row), and for undirected timelines row `u` alone is
 //!   snapshotted before direction `u → w` dirties it, so direction
 //!   `w → u` still sees pre-step values. Both directions take the same two
-//!   kernels as the general path, so results are bit-identical; what is
-//!   saved is one row snapshot, all `slot_of` bookkeeping, and (directed)
-//!   every snapshot write. This attacks the snapshot-bound fine-scale tail
-//!   where nearly every non-empty window holds one edge.
-//!   [`DpOptions::no_degree1_fast_path`] forces the general path for
-//!   differential tests and benches.
+//!   kernels as the general path, so results are bit-identical to it (and
+//!   to [`baseline`], which has no bypass — the differential tests hold
+//!   every run to it); what is saved is one row snapshot, all `slot_of`
+//!   bookkeeping, and (directed) every snapshot write. This attacks the
+//!   snapshot-bound fine-scale tail where nearly every non-empty window
+//!   holds one edge.
 //!
 //! # Delta propagation invariants
 //!
@@ -138,9 +138,9 @@
 //!   (no value change, no change bit, no distance flush), hence the
 //!   filtered run's cell states, trip stream, and distance sums are
 //!   bit-identical to the unfiltered run's — enforced differentially
-//!   against both the frontier engine with delta off and [`baseline`] in
-//!   `proptest_frontier.rs`, and across delta × tile × thread combinations
-//!   in `core/tests/tiling_determinism.rs`. The single-hop offer
+//!   against [`baseline`], which offers every live column, in
+//!   `proptest_frontier.rs`, and across tile × thread combinations in
+//!   `core/tests/tiling_determinism.rs`. The single-hop offer
 //!   `(k, 1)` is never filtered: its candidate is new every step.
 //! * **Filtered snapshots.** Remark-1 snapshots stay the value source, but
 //!   are built *already filtered*: a pre-pass over the step's edges
@@ -166,11 +166,6 @@
 //!   its live `word_changed_at` / `set_at` are therefore pre-step exact; the
 //!   reverse-direction snapshot is taken before the forward offers dirty
 //!   row `eu`, watermark filtering included.
-//! * [`DpOptions::no_delta_propagation`] is a watermark override only:
-//!   every watermark reads as `NEVER`, which passes every `set_at <= last`
-//!   and word-mark test, so every live column is offered at every firing.
-//!   The kernels and the change bitmaps are the same in both settings;
-//!   results are bit-identical with the flag on or off.
 //!
 //! The pre-rework engine (full-row snapshots, per-run table allocation,
 //! `O(ncols)` chain scans) is preserved in [`baseline`] as the comparison
@@ -236,28 +231,30 @@ impl<F: FnMut(u32, u32, u32, u32, u32)> TripSink for F {
     }
 }
 
-/// Engine options.
+/// The inputs of one engine run besides the timeline, targets and sink.
+/// `DpOptions::default()` runs every target column without a token.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct DpOptions {
+pub struct DpOptions<'a> {
     /// Accumulate the exact sums needed for mean `d_time` / `d_hops` over all
     /// departure steps (Figure 2, bottom row). Such runs take the sparse
     /// chain kernel for every row (module docs).
     pub collect_distances: bool,
-    /// Force single-edge steps through the general snapshot path instead of
-    /// the degree-1 bypass (module docs). Results are bit-identical either
-    /// way; the flag exists for differential tests and the
-    /// `degree1_fast_path` bench. Ignored by [`baseline`], which has no
-    /// fast path.
-    pub no_degree1_fast_path: bool,
-    /// Disable delta propagation: every delta watermark reads as `NEVER`,
-    /// so every live column is offered at every step instead of only those
-    /// whose source-row value changed since the same (edge, direction) last
-    /// consumed the row (module docs). Nothing else changes. Results are
-    /// bit-identical either way — skipped offers are provably
-    /// non-improving — so the flag exists purely for differential tests and
-    /// the `delta_propagation` bench/ablation. Ignored by [`baseline`],
-    /// which keeps no watermarks.
-    pub no_delta_propagation: bool,
+    /// Run only the target columns `col_start .. col_start + col_len`, given
+    /// as `(col_start, col_len)` like [`TargetSet::tile_ranges`]; `None`
+    /// runs every column. Because the recurrence never reads across
+    /// columns, tile runs are independent: their trips (reported with
+    /// global node ids), distance sums and histograms partition the untiled
+    /// run, and merging tiles in ascending `col_start` order reproduces it
+    /// bit for bit. Arena state is sized `n × col_len`.
+    /// `DpStats::traversals` counts every edge traversal of the timeline,
+    /// so it repeats per tile.
+    pub cols: Option<(u32, u32)>,
+    /// A cooperative [`CancelToken`], polled every [`CANCEL_STRIDE`] steps.
+    /// A `None` or never-fired token takes the same code path and gives
+    /// bit-identical output; once the token fires the run stops within one
+    /// stride, its sink output and stats are meaningless and must be
+    /// discarded. The arena stays reusable either way.
+    pub cancel: Option<&'a CancelToken>,
 }
 
 /// Raw distance sums over every `(u, v, departure step)` triple with a finite
@@ -281,8 +278,8 @@ pub struct DpStats {
     /// Total edge traversals processed (`M`, doubled for undirected).
     pub traversals: u64,
     /// Chain offers actually emitted (after delta filtering; excludes the
-    /// per-traversal single-hop offer). The delta bench reports this next
-    /// to wall time: it is the work the watermark filters eliminate. The
+    /// per-traversal single-hop offer); the watermark filters exist to
+    /// shrink it. The
     /// dense kernel sweeps whole rows but counts only its `valid` lanes —
     /// live, changed since the watermark, off the diagonal — which are
     /// exactly the entries the sparse kernel would offer, so the count
@@ -789,8 +786,7 @@ impl EngineArena {
         targets: &TargetSet,
         col_start: u32,
         sink: &mut impl TripSink,
-        options: DpOptions,
-        cancel: Option<&CancelToken>,
+        options: DpOptions<'_>,
     ) -> DpStats {
         // Field-split the arena so the kernels can hold a shared borrow of
         // the snapshot buffers while mutating the tables.
@@ -830,7 +826,6 @@ impl EngineArena {
         };
         let undirected = !timeline.is_directed();
         let collect = options.collect_distances;
-        let degree1 = !options.no_degree1_fast_path;
         // Distance runs keep to the sparse kernel, which flushes a cell's
         // old value on its first change of a step; the sweep never collects
         // distances.
@@ -839,7 +834,6 @@ impl EngineArena {
         // this timeline, reset to "not fired" every run.
         wm.clear();
         wm.resize(timeline.distinct_pairs() as usize * 2, NEVER);
-        let overridden = options.no_delta_propagation;
 
         // Tile-local column of node `v`, if `v` is a destination inside
         // `[col_start, col_start + ncols)` — one array read plus a wrapping
@@ -868,6 +862,7 @@ impl EngineArena {
         /// with `set_at <= maxlast`. A row unchanged since every consumer's
         /// last visit yields an empty slot without a scan.
         #[allow(clippy::too_many_arguments)] // split-out arena parts
+        #[inline]
         fn snapshot(
             table: &mut Table<'_>,
             node: usize,
@@ -980,12 +975,6 @@ impl EngineArena {
             }
         }
 
-        // The delta watermark of one (edge, direction): the step at which it
-        // last consumed its continuation row, or `NEVER` ("offer
-        // everything") when it has not fired this run — or always, under
-        // `no_delta_propagation`.
-        let wm_last = |wm: &[u32], idx: usize| if overridden { NEVER } else { wm[idx] };
-
         // Cooperative cancellation: polled once per CANCEL_STRIDE steps —
         // coarse enough to stay invisible in the hot loop, fine enough that
         // an abandoned sweep stops in bounded time. Breaking between steps
@@ -993,7 +982,7 @@ impl EngineArena {
         // `prepare` resets it, and the partial stats are discarded upstream.
         let mut cancel_countdown = CANCEL_STRIDE;
         for step in timeline.steps_desc() {
-            if let Some(token) = cancel {
+            if let Some(token) = options.cancel {
                 cancel_countdown -= 1;
                 if cancel_countdown == 0 {
                     cancel_countdown = CANCEL_STRIDE;
@@ -1003,7 +992,7 @@ impl EngineArena {
                 }
             }
             let k = step.index;
-            if degree1 && step.len() == 1 {
+            if step.len() == 1 {
                 // Degree-1 fast path (module docs): one edge `(eu, ew)`,
                 // no slot machinery. Direction `eu -> ew` writes only row
                 // `eu`, so row `ew` stays pre-step and is read live; for the
@@ -1033,10 +1022,10 @@ impl EngineArena {
                 let (dirty_fwd, dirty_rev) = dirty_bits[..need].split_at_mut(words_per_row);
                 let (ea_fwd, ea_rev) = ea_bits[..need].split_at_mut(words_per_row);
                 let wi_fwd = step.pair[0] as usize * 2;
-                let last_fwd = wm_last(wm, wi_fwd);
+                let last_fwd = wm[wi_fwd];
                 wm[wi_fwd] = k;
                 let rev_slot = if undirected {
-                    let last_rev = wm_last(wm, wi_fwd + 1);
+                    let last_rev = wm[wi_fwd + 1];
                     wm[wi_fwd + 1] = k;
                     let slot = snapshot(
                         &mut table,
@@ -1165,7 +1154,7 @@ impl EngineArena {
                     let nheads = if undirected { 2 } else { 1 };
                     for &(wi, head) in &heads[..nheads] {
                         let slot = slot_of[head as usize] as usize;
-                        slot_maxlast[slot] = slot_maxlast[slot].max(wm_last(wm, wi));
+                        slot_maxlast[slot] = slot_maxlast[slot].max(wm[wi]);
                     }
                 }
                 // 2. Snapshot the pre-step row of every slotted node — only
@@ -1216,7 +1205,7 @@ impl EngineArena {
                                 collect.then_some(&mut sums),
                             );
                         }
-                        let last = wm_last(wm, wi);
+                        let last = wm[wi];
                         wm[wi] = k;
                         // chain: u -(k)-> w, then w's pre-step entries changed
                         // since this direction last consumed them; the
@@ -1317,90 +1306,35 @@ impl EngineArena {
 }
 
 /// Runs the backward DP over `timeline`, reporting every minimal trip whose
-/// destination lies in `targets` to `sink`. Allocates a fresh arena; sweeps
-/// should hold an [`EngineArena`] per worker and call
-/// [`earliest_arrival_dp_in`].
+/// destination lies in `targets` (restricted to `options.cols`, if set) to
+/// `sink`. The arena's tables are reused (grown, never cleared) when
+/// consecutive runs share dimensions — the hot configuration of the Δ
+/// sweep, which holds one arena per worker; a one-off run passes
+/// `&mut EngineArena::new()`.
 ///
 /// Complexity: `O(|targets| · M)` time worst-case — with the frontier
 /// pruning, each traversal pays for *reachable* columns only — and
 /// `O(n · |targets|)` memory, where `M` is the total edge count of the
 /// timeline.
-pub fn earliest_arrival_dp(
-    timeline: &Timeline,
-    targets: &TargetSet,
-    sink: &mut impl TripSink,
-    options: DpOptions,
-) -> DpStats {
-    let mut arena = EngineArena::new();
-    earliest_arrival_dp_in(&mut arena, timeline, targets, sink, options)
-}
-
-/// [`earliest_arrival_dp`] against caller-owned state: the arena's tables
-/// are reused (grown, never cleared) when consecutive runs share
-/// dimensions — the hot configuration of the Δ sweep.
+///
+/// # Panics
+/// Panics if `options.cols` is empty or exceeds `targets.len()`.
 pub fn earliest_arrival_dp_in(
     arena: &mut EngineArena,
     timeline: &Timeline,
     targets: &TargetSet,
     sink: &mut impl TripSink,
-    options: DpOptions,
+    options: DpOptions<'_>,
 ) -> DpStats {
-    earliest_arrival_dp_tile_in(arena, timeline, targets, 0, targets.len(), sink, options)
-}
-
-/// Runs the backward DP over a contiguous *column range* of `targets`:
-/// destinations `targets.node_of(c)` for `c` in
-/// `col_start .. col_start + col_len`. Because the recurrence never reads
-/// across columns, tile runs are completely independent: the per-tile trips
-/// (reported with their global node ids), distance sums, and histograms
-/// partition the untiled run exactly, and merging tiles in ascending
-/// `col_start` order reproduces its output bit for bit. Arena state is
-/// sized `n × col_len` — the tiled sweep's memory/cache lever.
-///
-/// `DpStats::traversals` counts every edge traversal of the timeline and is
-/// therefore repeated per tile, not partitioned.
-///
-/// # Panics
-/// Panics if the range is empty or exceeds `targets.len()`.
-pub fn earliest_arrival_dp_tile_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    sink: &mut impl TripSink,
-    options: DpOptions,
-) -> DpStats {
-    earliest_arrival_dp_tile_cancel_in(
-        arena, timeline, targets, col_start, col_len, sink, options, None,
-    )
-}
-
-/// [`earliest_arrival_dp_tile_in`] with a cooperative [`CancelToken`],
-/// polled every [`CANCEL_STRIDE`] steps. A `None` (or never-fired) token
-/// takes the exact same code path and produces bit-identical output; once
-/// the token fires the run stops within one stride, its partial sink output
-/// and stats are meaningless, and the caller must discard them. The arena
-/// stays reusable either way.
-#[allow(clippy::too_many_arguments)] // mirror of the tile entry + one token
-pub fn earliest_arrival_dp_tile_cancel_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    sink: &mut impl TripSink,
-    options: DpOptions,
-    cancel: Option<&CancelToken>,
-) -> DpStats {
+    let (col_start, col_len) = options.cols.unwrap_or((0, targets.len() as u32));
     assert!(col_len > 0, "empty target tile");
     assert!(
-        col_start as usize + col_len <= targets.len(),
+        col_start as usize + col_len as usize <= targets.len(),
         "tile [{col_start}, {col_start}+{col_len}) out of range for {} targets",
         targets.len()
     );
-    arena.prepare(timeline.n() as usize, col_len);
-    arena.run(timeline, targets, col_start, sink, options, cancel)
+    arena.prepare(timeline.n() as usize, col_len as usize);
+    arena.run(timeline, targets, col_start, sink, options)
 }
 
 pub mod baseline {
@@ -1414,12 +1348,13 @@ pub mod baseline {
     use super::{DistanceSums, DpOptions, DpStats, TripSink, NEVER, NONE_EA};
     use crate::{TargetSet, Timeline};
 
-    /// [`super::earliest_arrival_dp`]'s behavior-identical slow twin.
+    /// [`super::earliest_arrival_dp_in`]'s behavior-identical slow twin over
+    /// every target column; `options.cols` and `options.cancel` are ignored.
     pub fn earliest_arrival_dp(
         timeline: &Timeline,
         targets: &TargetSet,
         sink: &mut impl TripSink,
-        options: DpOptions,
+        options: DpOptions<'_>,
     ) -> DpStats {
         Engine::new(timeline, targets, options).run(timeline, sink)
     }
@@ -1440,7 +1375,7 @@ pub mod baseline {
     }
 
     impl<'a> Engine<'a> {
-        fn new(timeline: &Timeline, targets: &'a TargetSet, options: DpOptions) -> Self {
+        fn new(timeline: &Timeline, targets: &'a TargetSet, options: DpOptions<'_>) -> Self {
             let n = timeline.n() as usize;
             let ncols = targets.len();
             let cells = n.checked_mul(ncols).expect("state table size overflow");
@@ -1623,6 +1558,16 @@ mod tests {
         }
     }
 
+    /// One engine run on a fresh arena.
+    fn fresh(
+        t: &Timeline,
+        targets: &TargetSet,
+        sink: &mut impl TripSink,
+        options: DpOptions<'_>,
+    ) -> DpStats {
+        earliest_arrival_dp_in(&mut EngineArena::new(), t, targets, sink, options)
+    }
+
     fn run(
         stream_text: &str,
         directedness: Directedness,
@@ -1631,7 +1576,7 @@ mod tests {
         let s = saturn_linkstream::io::read_str(stream_text, directedness).unwrap();
         let t = Timeline::aggregated(&s, k);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&t, &TargetSet::all(t.n()), &mut sink, DpOptions::default());
+        fresh(&t, &TargetSet::all(t.n()), &mut sink, DpOptions::default());
         let mut out = sink.0;
         out.sort_unstable();
         out
@@ -1677,7 +1622,7 @@ mod tests {
             saturn_linkstream::io::read_str("a b 0\nb c 5\n", Directedness::Directed).unwrap();
         let t = Timeline::aggregated(&s, 2);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&t, &TargetSet::all(3), &mut sink, DpOptions::default());
+        fresh(&t, &TargetSet::all(3), &mut sink, DpOptions::default());
         let trips = sink.0;
         assert!(trips.contains(&(0, 2, 0, 1, 2)));
         assert!(!trips.iter().any(|&(u, v, ..)| (u, v) == (1, 0))); // no b->a
@@ -1693,7 +1638,7 @@ mod tests {
         let s = saturn_linkstream::io::read_str(text, Directedness::Undirected).unwrap();
         let t = Timeline::aggregated(&s, 4); // Δ=7.5: t=0->w0, 20->w2, 30->w3
         let mut sink = Collect::default();
-        earliest_arrival_dp(&t, &TargetSet::all(3), &mut sink, DpOptions::default());
+        fresh(&t, &TargetSet::all(3), &mut sink, DpOptions::default());
         let ac: Vec<_> = sink.0.iter().filter(|&&(u, v, ..)| (u, v) == (0, 2)).collect();
         assert_eq!(ac.len(), 1);
         assert_eq!(*ac[0], (0, 2, 2, 3, 2));
@@ -1708,7 +1653,7 @@ mod tests {
         let s = saturn_linkstream::io::read_str(text, Directedness::Undirected).unwrap();
         let t = Timeline::aggregated(&s, 3); // windows of 20/3: w0={ab}, w1={bc}, w2={cd, ad}
         let mut sink = Collect::default();
-        earliest_arrival_dp(&t, &TargetSet::all(4), &mut sink, DpOptions::default());
+        fresh(&t, &TargetSet::all(4), &mut sink, DpOptions::default());
         let ad: Vec<_> = sink.0.iter().filter(|&&(u, v, ..)| (u, v) == (0, 3)).collect();
         // minimal trip dep 0..: earliest arrival w2 via either route; but the
         // direct link at w2 gives trip (2,2) which dominates (0,2): minimal
@@ -1726,7 +1671,7 @@ mod tests {
         let s = saturn_linkstream::io::read_str(text, Directedness::Undirected).unwrap();
         let t = Timeline::aggregated(&s, 2);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&t, &TargetSet::all(4), &mut sink, DpOptions::default());
+        fresh(&t, &TargetSet::all(4), &mut sink, DpOptions::default());
         let ad: Vec<_> = sink.0.iter().filter(|&&(u, v, ..)| (u, v) == (0, 3)).collect();
         assert_eq!(ad.len(), 1);
         assert_eq!(*ad[0], (0, 3, 0, 1, 2));
@@ -1739,7 +1684,7 @@ mod tests {
         let t = Timeline::aggregated(&s, 3);
         let targets = TargetSet::from_nodes(4, &[3]); // only destination d
         let mut sink = Collect::default();
-        earliest_arrival_dp(&t, &targets, &mut sink, DpOptions::default());
+        fresh(&t, &targets, &mut sink, DpOptions::default());
         assert!(!sink.0.is_empty());
         assert!(sink.0.iter().all(|&(_, v, ..)| v == 3));
     }
@@ -1759,7 +1704,7 @@ mod tests {
         let s = saturn_linkstream::io::read_str("a b 0\nb c 10\n", Directedness::Undirected)
             .unwrap();
         let t = Timeline::aggregated(&s, 2);
-        let stats = earliest_arrival_dp(
+        let stats = fresh(
             &t,
             &TargetSet::all(3),
             &mut NullSink,
@@ -1778,8 +1723,7 @@ mod tests {
         let t = Timeline::aggregated(&s, 2);
         let mut count = 0u32;
         let mut sink = |_u: u32, _v: u32, _d: u32, _a: u32, _h: u32| count += 1;
-        let stats =
-            earliest_arrival_dp(&t, &TargetSet::all(3), &mut sink, DpOptions::default());
+        let stats = fresh(&t, &TargetSet::all(3), &mut sink, DpOptions::default());
         assert_eq!(stats.trips as u32, count);
     }
 
@@ -1796,7 +1740,7 @@ mod tests {
         for &k in &[1u64, 2, 5, 9, 33, 9, 2] {
             let t = Timeline::aggregated(&s, k);
             let mut fresh_sink = Collect::default();
-            let fresh = earliest_arrival_dp(
+            let fresh = fresh(
                 &t,
                 &TargetSet::all(4),
                 &mut fresh_sink,
@@ -1824,7 +1768,7 @@ mod tests {
         let mut a_sink = Collect::default();
         earliest_arrival_dp_in(&mut arena, &t, &targets, &mut a_sink, DpOptions::default());
         let mut f_sink = Collect::default();
-        earliest_arrival_dp(&t, &targets, &mut f_sink, DpOptions::default());
+        fresh(&t, &targets, &mut f_sink, DpOptions::default());
         assert_eq!(a_sink.0, f_sink.0);
     }
 
@@ -1843,7 +1787,7 @@ mod tests {
         for &k in &[1u64, 3, 9, 25] {
             let t = Timeline::aggregated(&s, k);
             let mut full_sink = Collect::default();
-            let full = earliest_arrival_dp(
+            let full = fresh(
                 &t,
                 &targets,
                 &mut full_sink,
@@ -1857,14 +1801,16 @@ mod tests {
                 let mut sums = DistanceSums::default();
                 for (start, len) in targets.tile_ranges(tile) {
                     let mut sink = Collect::default();
-                    let stats = earliest_arrival_dp_tile_in(
+                    let stats = earliest_arrival_dp_in(
                         &mut arena,
                         &t,
                         &targets,
-                        start,
-                        len as usize,
                         &mut sink,
-                        DpOptions { collect_distances: true, ..Default::default() },
+                        DpOptions {
+                            collect_distances: true,
+                            cols: Some((start, len)),
+                            ..Default::default()
+                        },
                     );
                     assert_eq!(stats.traversals, full.traversals, "k={k} tile={tile}");
                     trip_count += stats.trips;
@@ -1897,26 +1843,24 @@ mod tests {
         let targets = TargetSet::all(5);
         let t = Timeline::aggregated(&s, 4);
         let mut full = Collect::default();
-        earliest_arrival_dp(&t, &targets, &mut full, DpOptions::default());
+        fresh(&t, &targets, &mut full, DpOptions::default());
         let expected: Vec<_> =
             full.0.iter().copied().filter(|&(_, v, ..)| v == 2 || v == 3).collect();
         let mut tile = Collect::default();
         let mut arena = EngineArena::new();
-        earliest_arrival_dp_tile_in(
+        earliest_arrival_dp_in(
             &mut arena,
             &t,
             &targets,
-            2,
-            2,
             &mut tile,
-            DpOptions::default(),
+            DpOptions { cols: Some((2, 2)), ..Default::default() },
         );
         assert_eq!(tile.0, expected);
     }
 
     /// The degree-1 bypass must be invisible: identical trip streams (order
-    /// included), stats, and distance sums with the fast path on and off,
-    /// on directed and undirected timelines alike.
+    /// included), stats, and distance sums to the baseline engine, which has
+    /// no bypass, on directed and undirected timelines alike.
     #[test]
     fn degree1_fast_path_is_invisible() {
         let text = "a b 0\nb c 7\nc d 13\nd a 20\na c 27\nb d 33\nc e 41\ne a 47\n";
@@ -1929,22 +1873,19 @@ mod tests {
                     "fine scales must exercise single-edge steps (k={k})"
                 );
                 let mut fast = Collect::default();
-                let fs = earliest_arrival_dp(
+                let fs = fresh(
                     &t,
                     &TargetSet::all(5),
                     &mut fast,
                     DpOptions { collect_distances: true, ..Default::default() },
                 );
+                assert!(k < 13 || fs.degree1_steps > 0, "bypass never taken (k={k})");
                 let mut general = Collect::default();
-                let gs = earliest_arrival_dp(
+                let gs = baseline::earliest_arrival_dp(
                     &t,
                     &TargetSet::all(5),
                     &mut general,
-                    DpOptions {
-                        collect_distances: true,
-                        no_degree1_fast_path: true,
-                        ..Default::default()
-                    },
+                    DpOptions { collect_distances: true, ..Default::default() },
                 );
                 assert_eq!(fast.0, general.0, "{directedness:?} k={k}");
                 assert_eq!(fs.trips, gs.trips, "{directedness:?} k={k}");
@@ -1958,9 +1899,10 @@ mod tests {
     }
 
     /// Delta propagation must be invisible: identical trip streams (order
-    /// included), stats, and distance sums with the watermark filters on
-    /// and off, across directednesses, scales, and one arena reused for
-    /// all runs (watermark state from earlier scales must stay dead).
+    /// included), stats, and distance sums to the baseline engine, which
+    /// offers every live column, across directednesses, scales, and one
+    /// arena reused for all runs (watermark state from earlier scales must
+    /// stay dead).
     #[test]
     fn delta_propagation_is_invisible() {
         let text = "a b 0\nb c 7\nc d 13\nd a 20\na c 27\nb d 33\nc e 41\ne a 47\n\
@@ -1979,16 +1921,11 @@ mod tests {
                     DpOptions { collect_distances: true, ..Default::default() },
                 );
                 let mut off = Collect::default();
-                let off_stats = earliest_arrival_dp_in(
-                    &mut arena,
+                let off_stats = baseline::earliest_arrival_dp(
                     &t,
                     &TargetSet::all(5),
                     &mut off,
-                    DpOptions {
-                        collect_distances: true,
-                        no_delta_propagation: true,
-                        ..Default::default()
-                    },
+                    DpOptions { collect_distances: true, ..Default::default() },
                 );
                 assert_eq!(on.0, off.0, "{directedness:?} k={k}");
                 assert_eq!(on_stats.trips, off_stats.trips, "{directedness:?} k={k}");
@@ -2001,8 +1938,8 @@ mod tests {
         }
     }
 
-    /// Delta filtering composes with tiling: every tile cover with delta on
-    /// merges to the delta-off untiled run.
+    /// Delta filtering composes with tiling: every tile cover merges to the
+    /// baseline engine's untiled run.
     #[test]
     fn delta_propagation_composes_with_tiles() {
         let s = saturn_linkstream::io::read_str(
@@ -2015,26 +1952,19 @@ mod tests {
         for &k in &[3u64, 9, 37] {
             let t = Timeline::aggregated(&s, k);
             let mut full_sink = Collect::default();
-            earliest_arrival_dp(
-                &t,
-                &targets,
-                &mut full_sink,
-                DpOptions { no_delta_propagation: true, ..Default::default() },
-            );
+            baseline::earliest_arrival_dp(&t, &targets, &mut full_sink, DpOptions::default());
             let mut full_trips = full_sink.0;
             full_trips.sort_unstable();
             for tile in [1usize, 2, 5] {
                 let mut trips = Vec::new();
                 for (start, len) in targets.tile_ranges(tile) {
                     let mut sink = Collect::default();
-                    earliest_arrival_dp_tile_in(
+                    earliest_arrival_dp_in(
                         &mut arena,
                         &t,
                         &targets,
-                        start,
-                        len as usize,
                         &mut sink,
-                        DpOptions::default(),
+                        DpOptions { cols: Some((start, len)), ..Default::default() },
                     );
                     trips.extend(sink.0);
                 }
@@ -2056,7 +1986,7 @@ mod tests {
         for &k in &[1u64, 2, 4, 7, 13, 25] {
             let t = Timeline::aggregated(&s, k);
             let mut fast = Collect::default();
-            let f = earliest_arrival_dp(
+            let f = fresh(
                 &t,
                 &TargetSet::all(5),
                 &mut fast,
@@ -2167,14 +2097,12 @@ mod tests {
                             let mut sums = DistanceSums::default();
                             for (start, len) in targets.tile_ranges(width as usize) {
                                 let mut tile = Collect::default();
-                                let s = earliest_arrival_dp_tile_in(
+                                let s = earliest_arrival_dp_in(
                                     &mut arena,
                                     &t,
                                     &targets,
-                                    start,
-                                    len as usize,
                                     &mut tile,
-                                    options,
+                                    DpOptions { cols: Some((start, len)), ..options },
                                 );
                                 let cols = start..start + len;
                                 let expected: Vec<_> = full
@@ -2218,19 +2146,16 @@ mod tests {
         let t = Timeline::aggregated(&s, 17);
         let targets = TargetSet::all(4);
         let mut plain = Collect::default();
-        let ps = earliest_arrival_dp(&t, &targets, &mut plain, DpOptions::default());
+        let ps = fresh(&t, &targets, &mut plain, DpOptions::default());
         let token = CancelToken::new();
         let mut arena = EngineArena::new();
         let mut with_token = Collect::default();
-        let ts = earliest_arrival_dp_tile_cancel_in(
+        let ts = earliest_arrival_dp_in(
             &mut arena,
             &t,
             &targets,
-            0,
-            targets.len(),
             &mut with_token,
-            DpOptions::default(),
-            Some(&token),
+            DpOptions { cancel: Some(&token), ..Default::default() },
         );
         assert_eq!(plain.0, with_token.0);
         assert_eq!(ps.trips, ts.trips);
@@ -2251,21 +2176,18 @@ mod tests {
         let t = Timeline::aggregated(&s, k);
         let targets = TargetSet::all(2);
         let mut full = Collect::default();
-        let fs = earliest_arrival_dp(&t, &targets, &mut full, DpOptions::default());
+        let fs = fresh(&t, &targets, &mut full, DpOptions::default());
 
         let token = CancelToken::new();
         token.cancel();
         let mut arena = EngineArena::new();
         let mut partial = Collect::default();
-        let ps = earliest_arrival_dp_tile_cancel_in(
+        let ps = earliest_arrival_dp_in(
             &mut arena,
             &t,
             &targets,
-            0,
-            targets.len(),
             &mut partial,
-            DpOptions::default(),
-            Some(&token),
+            DpOptions { cancel: Some(&token), ..Default::default() },
         );
         // The backward DP walks steps newest-first; a pre-fired token lets at
         // most one stride of steps run before the poll breaks out.
@@ -2279,16 +2201,8 @@ mod tests {
 
         // Reusing the arena after an abandoned run must be sound and exact.
         let mut again = Collect::default();
-        let rs = earliest_arrival_dp_tile_cancel_in(
-            &mut arena,
-            &t,
-            &targets,
-            0,
-            targets.len(),
-            &mut again,
-            DpOptions::default(),
-            None,
-        );
+        let rs =
+            earliest_arrival_dp_in(&mut arena, &t, &targets, &mut again, DpOptions::default());
         assert_eq!(again.0, full.0);
         assert_eq!(rs.trips, fs.trips);
     }

@@ -9,7 +9,9 @@
 //! `(t_v - t_u + 1)·Δ` to the duration of the fastest minimal trip of the
 //! original stream between the same nodes inside the same real-time range.
 
-use crate::{earliest_arrival_dp, DpOptions, StreamTrips, TargetSet, Timeline, TripSink};
+use crate::{
+    earliest_arrival_dp_in, DpOptions, EngineArena, StreamTrips, TargetSet, Timeline, TripSink,
+};
 use saturn_linkstream::{LinkStream, Time, WindowPartition};
 use serde::Serialize;
 
@@ -115,7 +117,13 @@ pub fn elongation_stats_on(
         count: 0,
         single_window: 0,
     };
-    earliest_arrival_dp(timeline, targets, &mut sink, DpOptions::default());
+    earliest_arrival_dp_in(
+        &mut EngineArena::new(),
+        timeline,
+        targets,
+        &mut sink,
+        DpOptions::default(),
+    );
     ElongationStats {
         k,
         delta_ticks: partition.delta_ticks(),

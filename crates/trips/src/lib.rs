@@ -27,16 +27,16 @@
 //! * [`Timeline`] — a prepared step sequence, either
 //!   [`aggregated`](Timeline::aggregated) (windows of `G_Δ`) or
 //!   [`exact`](Timeline::exact) (distinct timestamps of `L`);
-//! * [`earliest_arrival_dp`] — the generic engine, feeding minimal trips to a
-//!   [`TripSink`];
-//! * [`occupancy_histogram`], [`distance_means`], [`stream_minimal_trips`],
+//! * [`earliest_arrival_dp_in`] — the one engine entry, feeding minimal trips
+//!   to a [`TripSink`] (a [`HistogramSink`] builds the occupancy histogram);
+//! * [`occupancy_histogram_on`], [`distance_means`], [`stream_minimal_trips`],
 //!   [`elongation_stats`] — the high-level analyses built on the engine;
 //! * [`reference`] — small brute-force implementations used to validate the
 //!   engine in tests.
 //!
 //! ```
 //! use saturn_linkstream::{Directedness, LinkStreamBuilder};
-//! use saturn_trips::{occupancy_histogram, TargetSet};
+//! use saturn_trips::{occupancy_histogram_on, TargetSet, Timeline};
 //!
 //! let mut b = LinkStreamBuilder::new(Directedness::Undirected);
 //! b.add("a", "b", 0);
@@ -45,7 +45,7 @@
 //! let stream = b.build().unwrap();
 //!
 //! // Aggregate over K = 10 windows and collect all minimal-trip occupancy rates.
-//! let hist = occupancy_histogram(&stream, 10, &TargetSet::all(4));
+//! let hist = occupancy_histogram_on(&Timeline::aggregated(&stream, 10), &TargetSet::all(4));
 //! assert!(hist.total_trips() > 0);
 //! ```
 
@@ -63,13 +63,11 @@ pub mod transitions;
 pub use cancel::{CancelToken, Cancelled};
 pub use distances::{distance_means, distance_means_on, DistanceMeans};
 pub use dp::{
-    earliest_arrival_dp, earliest_arrival_dp_in, earliest_arrival_dp_tile_cancel_in,
-    earliest_arrival_dp_tile_in, DpOptions, DpStats, EngineArena, TripSink, CANCEL_STRIDE,
+    earliest_arrival_dp_in, DpOptions, DpStats, EngineArena, TripSink, CANCEL_STRIDE,
 };
 pub use elongation::{elongation_stats, elongation_stats_on, ElongationStats};
 pub use occupancy::{
-    occupancy_histogram, occupancy_histogram_in, occupancy_histogram_on,
-    occupancy_histogram_tile_in, occupancy_histogram_tile_stats_in, OccupancyHistogram,
+    occupancy_histogram_on, occupancy_histogram_tile_in, HistogramSink, OccupancyHistogram,
 };
 pub use stream_trips::{stream_minimal_trips, PairTrips, StreamTrips};
 pub use target::TargetSet;

@@ -12,12 +12,8 @@
 //! (tens of millions of trips on a few million pairs), so the `gcd` leaves
 //! the per-trip path.
 
-use crate::{
-    earliest_arrival_dp_in, earliest_arrival_dp_tile_cancel_in, CancelToken, DpOptions,
-    DpStats, EngineArena, TargetSet, Timeline, TripSink,
-};
+use crate::{earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink};
 use rustc_hash::FxHashMap;
-use saturn_linkstream::LinkStream;
 
 /// Exact histogram of minimal-trip occupancy rates.
 ///
@@ -138,20 +134,27 @@ impl OccupancyHistogram {
     }
 }
 
-/// Counts one tile's trips on unreduced `(hops, duration)` keys.
+/// The [`TripSink`] that builds an [`OccupancyHistogram`]: hand it to
+/// [`earliest_arrival_dp_in`] (any column range, any token), then
+/// [`finish`](Self::finish) it. Counts trips on unreduced
+/// `(hops, duration)` keys. If the run's token fired, the partial sink
+/// must be discarded.
 #[derive(Default)]
-struct HistogramSink(FxHashMap<(u32, u32), u64>);
+pub struct HistogramSink(FxHashMap<(u32, u32), u64>);
 
 impl TripSink for HistogramSink {
+    // inlinable into the engine loop monomorphized in the caller's crate
+    #[inline]
     fn minimal_trip(&mut self, _u: u32, _v: u32, dep: u32, arr: u32, hops: u32) {
         *self.0.entry((hops, arr - dep + 1)).or_insert(0) += 1;
     }
 }
 
 impl HistogramSink {
-    /// Reduces each distinct pair once, sorts by reduced key and coalesces
-    /// the pairs that reduce to the same rate.
-    fn finish(self) -> OccupancyHistogram {
+    /// The histogram of the trips counted: reduces each distinct pair once,
+    /// sorts by reduced key and coalesces the pairs that reduce to the same
+    /// rate.
+    pub fn finish(self) -> OccupancyHistogram {
         let mut rates: Vec<(u32, u32, u64)> = self
             .0
             .into_iter()
@@ -166,41 +169,19 @@ impl HistogramSink {
     }
 }
 
-/// Computes the occupancy-rate distribution of all minimal trips of the
-/// series `G_Δ` with `Δ = T/k`, for destinations in `targets`.
-pub fn occupancy_histogram(
-    stream: &LinkStream,
-    k: u64,
-    targets: &TargetSet,
-) -> OccupancyHistogram {
-    let timeline = Timeline::aggregated(stream, k);
-    occupancy_histogram_on(&timeline, targets)
-}
-
-/// Same as [`occupancy_histogram`], for an already-built timeline.
+/// The occupancy-rate histogram of all minimal trips of `timeline` (for the
+/// series `G_Δ` with `Δ = T/k`, `Timeline::aggregated(stream, k)`), for
+/// destinations in `targets`.
 pub fn occupancy_histogram_on(timeline: &Timeline, targets: &TargetSet) -> OccupancyHistogram {
-    let mut arena = EngineArena::new();
-    occupancy_histogram_in(&mut arena, timeline, targets)
-}
-
-/// Same as [`occupancy_histogram_on`], reusing a caller-owned
-/// [`EngineArena`] — the sweep's hot path (one arena per worker, reused for
-/// every scale).
-pub fn occupancy_histogram_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-) -> OccupancyHistogram {
-    let mut sink = HistogramSink::default();
-    earliest_arrival_dp_in(arena, timeline, targets, &mut sink, DpOptions::default());
-    sink.finish()
+    occupancy_histogram_tile_in(&mut EngineArena::new(), timeline, targets, 0, targets.len())
 }
 
 /// The histogram of one *target tile* — minimal trips toward destinations
 /// `col_start .. col_start + col_len` of `targets` only (see
-/// [`crate::earliest_arrival_dp_tile_in`]). Tiles partition the trips of the
-/// untiled run exactly, so [`OccupancyHistogram::merge_all`]-ing the tiles of a
-/// [`TargetSet::tile_ranges`] cover reproduces [`occupancy_histogram_in`].
+/// [`DpOptions::cols`]) — reusing a caller-owned [`EngineArena`]. Tiles
+/// partition the trips of the untiled run exactly, so
+/// [`OccupancyHistogram::merge_all`]-ing the tiles of a
+/// [`TargetSet::tile_ranges`] cover reproduces [`occupancy_histogram_on`].
 pub fn occupancy_histogram_tile_in(
     arena: &mut EngineArena,
     timeline: &Timeline,
@@ -208,41 +189,16 @@ pub fn occupancy_histogram_tile_in(
     col_start: u32,
     col_len: usize,
 ) -> OccupancyHistogram {
-    occupancy_histogram_tile_stats_in(
+    let mut sink = HistogramSink::default();
+    let cols = Some((col_start, col_len as u32));
+    earliest_arrival_dp_in(
         arena,
         timeline,
         targets,
-        col_start,
-        col_len,
-        DpOptions::default(),
-        None,
-    )
-    .0
-}
-
-/// [`occupancy_histogram_tile_in`] with explicit engine options, a
-/// cooperative [`CancelToken`] (see
-/// [`crate::dp::earliest_arrival_dp_tile_cancel_in`]), and the engine's
-/// [`DpStats`] surfaced instead of dropped in the sink — the sweep
-/// scheduler's entry point. Options that do not change results (e.g.
-/// [`DpOptions::no_delta_propagation`]) ride through unchanged, and a
-/// `None` or never-fired token is result-identical to the plain path. The
-/// stats are observational only; if the token fired mid-run, the partial
-/// histogram and its stats must both be discarded.
-pub fn occupancy_histogram_tile_stats_in(
-    arena: &mut EngineArena,
-    timeline: &Timeline,
-    targets: &TargetSet,
-    col_start: u32,
-    col_len: usize,
-    options: DpOptions,
-    cancel: Option<&CancelToken>,
-) -> (OccupancyHistogram, DpStats) {
-    let mut sink = HistogramSink::default();
-    let stats = earliest_arrival_dp_tile_cancel_in(
-        arena, timeline, targets, col_start, col_len, &mut sink, options, cancel,
+        &mut sink,
+        DpOptions { cols, ..Default::default() },
     );
-    (sink.finish(), stats)
+    sink.finish()
 }
 
 #[cfg(test)]
@@ -281,7 +237,7 @@ mod tests {
         // (Section 4: "when the aggregation period reaches its maximum
         // value... their occupation rate is 1").
         let s = io::read_str("a b 0\nb c 5\nc d 9\n", Directedness::Undirected).unwrap();
-        let h = occupancy_histogram(&s, 1, &TargetSet::all(4));
+        let h = occupancy_histogram_on(&Timeline::aggregated(&s, 1), &TargetSet::all(4));
         assert!(h.total_trips() > 0);
         assert_eq!(h.fraction_at_one(), 1.0);
     }
@@ -290,7 +246,7 @@ mod tests {
     fn fine_aggregation_has_low_rates() {
         // Chain spread over a long period: at fine scales trips wait a lot.
         let s = io::read_str("a b 0\nb c 50\nc d 100\n", Directedness::Undirected).unwrap();
-        let h = occupancy_histogram(&s, 100, &TargetSet::all(4));
+        let h = occupancy_histogram_on(&Timeline::aggregated(&s, 100), &TargetSet::all(4));
         // a->d trip: 3 hops over 100 steps => rate ~0.03 exists
         let min_rate = h.sorted_rates().first().unwrap().0;
         assert!(min_rate < 0.1, "min rate {min_rate}");

@@ -156,7 +156,7 @@ pub fn earliest_arrival_bruteforce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{earliest_arrival_dp, DpOptions, TargetSet, TripSink};
+    use crate::{earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, TripSink};
     use saturn_linkstream::{io, Directedness};
 
     #[derive(Default)]
@@ -173,7 +173,13 @@ mod tests {
             let t = Timeline::aggregated(&s, k);
             let brute = minimal_trips_bruteforce(&t, 2_000_000);
             let mut sink = Collect::default();
-            earliest_arrival_dp(&t, &TargetSet::all(t.n()), &mut sink, DpOptions::default());
+            earliest_arrival_dp_in(
+                &mut EngineArena::new(),
+                &t,
+                &TargetSet::all(t.n()),
+                &mut sink,
+                DpOptions::default(),
+            );
             let mut fast = sink.0;
             fast.sort_unstable();
             assert_eq!(fast, brute, "k={k} text={text:?}");
@@ -203,7 +209,13 @@ mod tests {
         let t = Timeline::aggregated(&s, 3);
         let brute = minimal_trips_bruteforce(&t, 1_000_000);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&t, &TargetSet::all(5), &mut sink, DpOptions::default());
+        earliest_arrival_dp_in(
+            &mut EngineArena::new(),
+            &t,
+            &TargetSet::all(5),
+            &mut sink,
+            DpOptions::default(),
+        );
         let mut fast = sink.0;
         fast.sort_unstable();
         assert_eq!(fast, brute);

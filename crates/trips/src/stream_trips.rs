@@ -8,7 +8,8 @@
 //! by the *elongation factor* (Figure 8 right).
 
 use crate::{
-    earliest_arrival_dp, DpOptions, ShortestTransitions, TargetSet, Timeline, TripSink,
+    earliest_arrival_dp_in, DpOptions, EngineArena, ShortestTransitions, TargetSet, Timeline,
+    TripSink,
 };
 use saturn_linkstream::LinkStream;
 use std::collections::{HashMap, HashSet};
@@ -85,7 +86,13 @@ pub fn stream_minimal_trips(
     let timeline = Timeline::exact(stream);
     let mut sink =
         StreamSink { timeline: &timeline, trips: StreamTrips::default(), two_hop: Vec::new() };
-    earliest_arrival_dp(&timeline, targets, &mut sink, DpOptions::default());
+    earliest_arrival_dp_in(
+        &mut EngineArena::new(),
+        &timeline,
+        targets,
+        &mut sink,
+        DpOptions::default(),
+    );
 
     let StreamSink { trips: mut out, two_hop, .. } = sink;
 

@@ -4,7 +4,9 @@
 use proptest::prelude::*;
 use saturn_linkstream::{Directedness, LinkStreamBuilder};
 use saturn_trips::reference::{earliest_arrival_bruteforce, minimal_trips_bruteforce};
-use saturn_trips::{earliest_arrival_dp, DpOptions, TargetSet, Timeline, TripSink};
+use saturn_trips::{
+    earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink,
+};
 
 #[derive(Default)]
 struct Collect(Vec<(u32, u32, u32, u32, u32)>);
@@ -51,7 +53,7 @@ proptest! {
         let timeline = Timeline::aggregated(&stream, k);
         let brute = minimal_trips_bruteforce(&timeline, 3_000_000);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&timeline, &TargetSet::all(6), &mut sink, DpOptions::default());
+        earliest_arrival_dp_in(&mut EngineArena::new(), &timeline, &TargetSet::all(6), &mut sink, DpOptions::default());
         let mut fast = sink.0;
         fast.sort_unstable();
         prop_assert_eq!(fast, brute);
@@ -63,7 +65,7 @@ proptest! {
         let timeline = Timeline::exact(&stream);
         let brute = minimal_trips_bruteforce(&timeline, 3_000_000);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&timeline, &TargetSet::all(6), &mut sink, DpOptions::default());
+        earliest_arrival_dp_in(&mut EngineArena::new(), &timeline, &TargetSet::all(6), &mut sink, DpOptions::default());
         let mut fast = sink.0;
         fast.sort_unstable();
         prop_assert_eq!(fast, brute);
@@ -78,7 +80,7 @@ proptest! {
         let k = if stream.span() == 0 { 1 } else { k };
         let timeline = Timeline::aggregated(&stream, k);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&timeline, &TargetSet::all(6), &mut sink, DpOptions::default());
+        earliest_arrival_dp_in(&mut EngineArena::new(), &timeline, &TargetSet::all(6), &mut sink, DpOptions::default());
         let trips = sink.0;
         for &(u, v, dep, arr, hops) in &trips {
             // occupancy in (0, 1] (Remark 2 + Definition 7)
@@ -106,7 +108,7 @@ proptest! {
     ) {
         let k = if stream.span() == 0 { 1 } else { k };
         let timeline = Timeline::aggregated(&stream, k);
-        let stats = earliest_arrival_dp(
+        let stats = earliest_arrival_dp_in(&mut EngineArena::new(),
             &timeline,
             &TargetSet::all(6),
             &mut saturn_trips::dp::NullSink,
@@ -145,7 +147,7 @@ proptest! {
         let nodes: Vec<u32> = targets.into_iter().collect();
 
         let mut full = Collect::default();
-        earliest_arrival_dp(&timeline, &TargetSet::all(6), &mut full, DpOptions::default());
+        earliest_arrival_dp_in(&mut EngineArena::new(), &timeline, &TargetSet::all(6), &mut full, DpOptions::default());
         let mut expected: Vec<_> = full
             .0
             .into_iter()
@@ -154,7 +156,7 @@ proptest! {
         expected.sort_unstable();
 
         let mut sampled = Collect::default();
-        earliest_arrival_dp(
+        earliest_arrival_dp_in(&mut EngineArena::new(),
             &timeline,
             &TargetSet::from_nodes(6, &nodes),
             &mut sampled,

@@ -5,11 +5,10 @@
 
 use proptest::prelude::*;
 use saturn_linkstream::{Directedness, LinkStreamBuilder};
-use saturn_trips::dp::{baseline, NullSink};
+use saturn_trips::dp::{baseline, DpStats, NullSink};
 use saturn_trips::reference::earliest_arrival_bruteforce;
 use saturn_trips::{
-    earliest_arrival_dp, earliest_arrival_dp_in, earliest_arrival_dp_tile_in, DpOptions,
-    EngineArena, TargetSet, Timeline, TripSink,
+    earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink,
 };
 
 #[derive(Default)]
@@ -19,6 +18,12 @@ impl TripSink for Collect {
     fn minimal_trip(&mut self, u: u32, v: u32, dep: u32, arr: u32, hops: u32) {
         self.0.push((u, v, dep, arr, hops));
     }
+}
+
+/// The distance sums of `stats` as a comparable tuple (`None` when the run
+/// collected none).
+fn sums(stats: &DpStats) -> Option<(i128, i128, i128)> {
+    stats.distances.map(|d| (d.sum_dtime_steps, d.sum_dhops, d.finite_triples))
 }
 
 /// A random stream over <= 6 nodes and <= 14 events in [0, 40].
@@ -44,29 +49,27 @@ fn arb_stream(directed: bool) -> impl Strategy<Value = saturn_linkstream::LinkSt
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Frontier engine (delta propagation on AND off) == baseline engine:
-    /// identical trip streams (same order), traversal counts, and distance
-    /// sums — undirected.
+    /// Frontier engine == baseline engine: identical trip streams (same
+    /// order), traversal counts, and distance sums — undirected. Runs
+    /// without distances take the dense kernel where rows qualify, so both
+    /// kernels and the degree-1 bypass face the oracle.
     #[test]
     fn frontier_equals_baseline_undirected(stream in arb_stream(false), k in 1u64..24) {
         let k = if stream.span() == 0 { 1 } else { k };
         let timeline = Timeline::aggregated(&stream, k);
-        let options = DpOptions { collect_distances: true, ..Default::default() };
         let targets = TargetSet::all(6);
-
-        let mut slow = Collect::default();
-        let bs = baseline::earliest_arrival_dp(&timeline, &targets, &mut slow, options);
-        for no_delta in [false, true] {
-            let options = DpOptions { no_delta_propagation: no_delta, ..options };
+        for collect_distances in [true, false] {
+            let options = DpOptions { collect_distances, ..Default::default() };
+            let mut slow = Collect::default();
+            let bs = baseline::earliest_arrival_dp(&timeline, &targets, &mut slow, options);
             let mut fast = Collect::default();
-            let fs = earliest_arrival_dp(&timeline, &targets, &mut fast, options);
-            prop_assert_eq!(&fast.0, &slow.0, "no_delta={}", no_delta);
+            let fs = earliest_arrival_dp_in(
+                &mut EngineArena::new(), &timeline, &targets, &mut fast, options,
+            );
+            prop_assert_eq!(&fast.0, &slow.0, "collect_distances={}", collect_distances);
             prop_assert_eq!(fs.trips, bs.trips);
             prop_assert_eq!(fs.traversals, bs.traversals);
-            let (fd, bd) = (fs.distances.unwrap(), bs.distances.unwrap());
-            prop_assert_eq!(fd.sum_dtime_steps, bd.sum_dtime_steps);
-            prop_assert_eq!(fd.sum_dhops, bd.sum_dhops);
-            prop_assert_eq!(fd.finite_triples, bd.finite_triples);
+            prop_assert_eq!(sums(&fs), sums(&bs));
         }
     }
 
@@ -74,21 +77,18 @@ proptest! {
     #[test]
     fn frontier_equals_baseline_directed_exact(stream in arb_stream(true)) {
         let timeline = Timeline::exact(&stream);
-        let options = DpOptions { collect_distances: true, ..Default::default() };
         let targets = TargetSet::all(6);
-
-        let mut slow = Collect::default();
-        let bs = baseline::earliest_arrival_dp(&timeline, &targets, &mut slow, options);
-        for no_delta in [false, true] {
-            let options = DpOptions { no_delta_propagation: no_delta, ..options };
+        for collect_distances in [true, false] {
+            let options = DpOptions { collect_distances, ..Default::default() };
+            let mut slow = Collect::default();
+            let bs = baseline::earliest_arrival_dp(&timeline, &targets, &mut slow, options);
             let mut fast = Collect::default();
-            let fs = earliest_arrival_dp(&timeline, &targets, &mut fast, options);
-            prop_assert_eq!(&fast.0, &slow.0, "no_delta={}", no_delta);
+            let fs = earliest_arrival_dp_in(
+                &mut EngineArena::new(), &timeline, &targets, &mut fast, options,
+            );
+            prop_assert_eq!(&fast.0, &slow.0, "collect_distances={}", collect_distances);
             prop_assert_eq!(fs.trips, bs.trips);
-            let (fd, bd) = (fs.distances.unwrap(), bs.distances.unwrap());
-            prop_assert_eq!(fd.sum_dtime_steps, bd.sum_dtime_steps);
-            prop_assert_eq!(fd.sum_dhops, bd.sum_dhops);
-            prop_assert_eq!(fd.finite_triples, bd.finite_triples);
+            prop_assert_eq!(sums(&fs), sums(&bs));
         }
     }
 
@@ -115,7 +115,7 @@ proptest! {
             }
         }
 
-        let stats = earliest_arrival_dp(
+        let stats = earliest_arrival_dp_in(&mut EngineArena::new(),
             &timeline,
             &TargetSet::all(6),
             &mut NullSink,
@@ -130,10 +130,11 @@ proptest! {
     /// One arena carried across runs over random streams and scales is
     /// indistinguishable from fresh allocation every run — values left in
     /// the never-cleared cell tables by earlier scales are never read,
-    /// since liveness (the frontier) is reset per run. Delta propagation is
-    /// toggled per run, so stale watermarks / row marks / dirty bitmaps
-    /// from a previous scale (whose pair ids mean different edges) must
-    /// stay dead too.
+    /// since liveness (the frontier) is reset per run. Distance collection
+    /// is toggled per run, so rows readied by a dense run stay consistent
+    /// for the sparse-only distance run after it, and stale watermarks /
+    /// row marks / dirty bitmaps from a previous scale (whose pair ids mean
+    /// different edges) must stay dead too.
     #[test]
     fn arena_epoch_reuse_never_leaks(
         stream in arb_stream(false),
@@ -143,25 +144,18 @@ proptest! {
         for (i, &k) in ks.iter().enumerate() {
             let k = if stream.span() == 0 { 1 } else { k };
             let timeline = Timeline::aggregated(&stream, k);
-            let options = DpOptions {
-                collect_distances: true,
-                no_delta_propagation: i % 2 == 1,
-                ..Default::default()
-            };
+            let options = DpOptions { collect_distances: i % 2 == 1, ..Default::default() };
 
             let mut reused = Collect::default();
             let rs = earliest_arrival_dp_in(
                 &mut arena, &timeline, &TargetSet::all(6), &mut reused, options,
             );
             let mut fresh = Collect::default();
-            let fs = earliest_arrival_dp(&timeline, &TargetSet::all(6), &mut fresh, options);
+            let fs = earliest_arrival_dp_in(&mut EngineArena::new(), &timeline, &TargetSet::all(6), &mut fresh, options);
 
             prop_assert_eq!(reused.0, fresh.0);
             prop_assert_eq!(rs.trips, fs.trips);
-            let (rd, fd) = (rs.distances.unwrap(), fs.distances.unwrap());
-            prop_assert_eq!(rd.sum_dtime_steps, fd.sum_dtime_steps);
-            prop_assert_eq!(rd.sum_dhops, fd.sum_dhops);
-            prop_assert_eq!(rd.finite_triples, fd.finite_triples);
+            prop_assert_eq!(sums(&rs), sums(&fs));
         }
     }
 
@@ -179,7 +173,7 @@ proptest! {
         let tset = TargetSet::from_nodes(6, &nodes);
 
         let mut fast = Collect::default();
-        earliest_arrival_dp(&timeline, &tset, &mut fast, DpOptions::default());
+        earliest_arrival_dp_in(&mut EngineArena::new(), &timeline, &tset, &mut fast, DpOptions::default());
         let mut slow = Collect::default();
         baseline::earliest_arrival_dp(&timeline, &tset, &mut slow, DpOptions::default());
         prop_assert_eq!(fast.0, slow.0);
@@ -187,66 +181,56 @@ proptest! {
 
     /// Target-tiled execution partitions the untiled run exactly: for any
     /// tile size, one arena carried across all tiles yields trips, trip
-    /// counts, and distance sums that merge to the full run's. The untiled
-    /// reference runs with delta propagation *off* while the tiles run with
-    /// the sampled setting, so the partition property holds across engine
-    /// modes, not just within one.
+    /// counts, and (when collected) distance sums that merge to the
+    /// baseline engine's untiled run. The tiles collect distances or not as
+    /// sampled, so the dense kernel is tiled too.
     #[test]
     fn tiled_runs_merge_to_the_untiled_run(
         stream in arb_stream(false),
         k in 1u64..24,
         tile in 1usize..7,
-        tiles_no_delta in any::<bool>(),
+        collect_distances in any::<bool>(),
     ) {
         let k = if stream.span() == 0 { 1 } else { k };
         let timeline = Timeline::aggregated(&stream, k);
         let targets = TargetSet::all(6);
-        let options = DpOptions {
-            collect_distances: true,
-            no_delta_propagation: true,
-            ..Default::default()
-        };
+        let options = DpOptions { collect_distances: true, ..Default::default() };
 
         let mut full_sink = Collect::default();
-        let full = earliest_arrival_dp(&timeline, &targets, &mut full_sink, options);
+        let full = baseline::earliest_arrival_dp(&timeline, &targets, &mut full_sink, options);
         let mut full_trips = full_sink.0;
         full_trips.sort_unstable();
 
-        let tile_options = DpOptions { no_delta_propagation: tiles_no_delta, ..options };
         let mut arena = EngineArena::new();
         let mut trips = Vec::new();
         let mut count = 0u64;
-        let mut dtime = 0i128;
-        let mut dhops = 0i128;
-        let mut triples = 0i128;
-        for (start, len) in targets.tile_ranges(tile) {
+        let (mut dtime, mut dhops, mut triples) = (0i128, 0i128, 0i128);
+        for cols in targets.tile_ranges(tile) {
             let mut sink = Collect::default();
-            let stats = earliest_arrival_dp_tile_in(
-                &mut arena, &timeline, &targets, start, len as usize, &mut sink,
-                tile_options,
-            );
+            let tile_options = DpOptions { collect_distances, cols: Some(cols), cancel: None };
+            let stats =
+                earliest_arrival_dp_in(&mut arena, &timeline, &targets, &mut sink, tile_options);
             trips.extend(sink.0);
             count += stats.trips;
-            let d = stats.distances.unwrap();
-            dtime += d.sum_dtime_steps;
-            dhops += d.sum_dhops;
-            triples += d.finite_triples;
+            if let Some((t, h, n)) = sums(&stats) {
+                dtime += t;
+                dhops += h;
+                triples += n;
+            }
         }
         trips.sort_unstable();
         prop_assert_eq!(trips, full_trips);
         prop_assert_eq!(count, full.trips);
-        let fd = full.distances.unwrap();
-        prop_assert_eq!(dtime, fd.sum_dtime_steps);
-        prop_assert_eq!(dhops, fd.sum_dhops);
-        prop_assert_eq!(triples, fd.finite_triples);
+        if collect_distances {
+            prop_assert_eq!(Some((dtime, dhops, triples)), sums(&full));
+        }
     }
 
-    /// The degree-1 snapshot bypass and delta propagation are invisible in
-    /// every combination on random streams, both directednesses: the full
-    /// 2×2 matrix of {degree-1 on/off} × {delta on/off} yields one trip
-    /// stream (order included) and one set of stats.
+    /// The degree-1 snapshot bypass and the delta filters are invisible on
+    /// random streams, both directednesses and both kernels: every run
+    /// yields the baseline engine's trip stream (order included) and stats.
     #[test]
-    fn degree1_and_delta_matrix_is_invisible(
+    fn degree1_bypass_and_delta_filters_match_baseline(
         stream in arb_stream(true),
         k in 1u64..24,
         directed_timeline in any::<bool>(),
@@ -257,38 +241,19 @@ proptest! {
         } else {
             Timeline::aggregated(&stream, k)
         };
-        let options = DpOptions { collect_distances: true, ..Default::default() };
         let targets = TargetSet::all(6);
-
-        let mut reference = Collect::default();
-        let rs = earliest_arrival_dp(&timeline, &targets, &mut reference, options);
-        for no_degree1 in [false, true] {
-            for no_delta in [false, true] {
-                if !no_degree1 && !no_delta {
-                    continue; // the reference itself
-                }
-                let mut run = Collect::default();
-                let os = earliest_arrival_dp(
-                    &timeline,
-                    &targets,
-                    &mut run,
-                    DpOptions {
-                        no_degree1_fast_path: no_degree1,
-                        no_delta_propagation: no_delta,
-                        ..options
-                    },
-                );
-                prop_assert_eq!(
-                    &run.0, &reference.0,
-                    "no_degree1={} no_delta={}", no_degree1, no_delta
-                );
-                prop_assert_eq!(os.trips, rs.trips);
-                prop_assert_eq!(os.traversals, rs.traversals);
-                let (od, rd) = (os.distances.unwrap(), rs.distances.unwrap());
-                prop_assert_eq!(od.sum_dtime_steps, rd.sum_dtime_steps);
-                prop_assert_eq!(od.sum_dhops, rd.sum_dhops);
-                prop_assert_eq!(od.finite_triples, rd.finite_triples);
-            }
+        for collect_distances in [true, false] {
+            let options = DpOptions { collect_distances, ..Default::default() };
+            let mut reference = Collect::default();
+            let rs = baseline::earliest_arrival_dp(&timeline, &targets, &mut reference, options);
+            let mut run = Collect::default();
+            let os = earliest_arrival_dp_in(
+                &mut EngineArena::new(), &timeline, &targets, &mut run, options,
+            );
+            prop_assert_eq!(&run.0, &reference.0, "collect_distances={}", collect_distances);
+            prop_assert_eq!(os.trips, rs.trips);
+            prop_assert_eq!(os.traversals, rs.traversals);
+            prop_assert_eq!(sums(&os), sums(&rs));
         }
     }
 }

@@ -7,8 +7,11 @@
 //! brute force.
 
 use saturn_linkstream::{io, Directedness};
+use saturn_trips::dp::baseline;
 use saturn_trips::reference::minimal_trips_bruteforce;
-use saturn_trips::{earliest_arrival_dp, DpOptions, TargetSet, Timeline, TripSink};
+use saturn_trips::{
+    earliest_arrival_dp_in, DpOptions, EngineArena, TargetSet, Timeline, TripSink,
+};
 use std::collections::HashMap;
 
 #[derive(Default)]
@@ -85,7 +88,13 @@ fn naive_in_place_violates_remark_1() {
     );
 
     let mut sink = Collect::default();
-    earliest_arrival_dp(&timeline, &TargetSet::all(3), &mut sink, DpOptions::default());
+    earliest_arrival_dp_in(
+        &mut EngineArena::new(),
+        &timeline,
+        &TargetSet::all(3),
+        &mut sink,
+        DpOptions::default(),
+    );
     assert!(
         !sink.0.iter().any(|&(u, v, ..)| (u, v) == (a, c)),
         "the real engine must respect Remark 1"
@@ -104,7 +113,13 @@ fn variants_agree_when_no_same_step_chaining_is_possible() {
     let naive = naive_in_place_reachability(&timeline);
 
     let mut sink = Collect::default();
-    earliest_arrival_dp(&timeline, &TargetSet::all(4), &mut sink, DpOptions::default());
+    earliest_arrival_dp_in(
+        &mut EngineArena::new(),
+        &timeline,
+        &TargetSet::all(4),
+        &mut sink,
+        DpOptions::default(),
+    );
     // earliest arrival per pair from the engine's trips (max dep's arr =
     // value at dep 0): take min arr per pair
     let mut engine: HashMap<(u32, u32), u32> = HashMap::new();
@@ -114,12 +129,12 @@ fn variants_agree_when_no_same_step_chaining_is_possible() {
     assert_eq!(naive, engine);
 }
 
-/// The degree-1 snapshot bypass must agree with the general snapshot path
-/// on exactly the fixtures of this ablation suite — the streams engineered
-/// to punish any Remark-1 ordering mistake. The bypass reads the
-/// continuation row live and pre-snapshots only the written row, which is a
-/// different mechanism than the slot machinery; this pins down that it is
-/// not a different *semantics*.
+/// The degree-1 snapshot bypass must agree with the baseline engine, which
+/// snapshots every step through its slot machinery, on exactly the
+/// fixtures of this ablation suite — the streams engineered to punish any
+/// Remark-1 ordering mistake. The bypass reads the continuation row live
+/// and pre-snapshots only the written row, which is a different mechanism;
+/// this pins down that it is not a different *semantics*.
 #[test]
 fn degree1_fast_path_matches_general_path_on_fixtures() {
     let fixtures: [(&str, Directedness); 3] = [
@@ -133,18 +148,19 @@ fn degree1_fast_path_matches_general_path_on_fixtures() {
         for k in [1u64, 2, 4, s.span().max(1) as u64] {
             let timeline = Timeline::aggregated(&s, k);
             let mut fast = Collect::default();
-            let fs = earliest_arrival_dp(
+            let fs = earliest_arrival_dp_in(
+                &mut EngineArena::new(),
                 &timeline,
                 &TargetSet::all(n),
                 &mut fast,
                 DpOptions::default(),
             );
             let mut general = Collect::default();
-            let gs = earliest_arrival_dp(
+            let gs = baseline::earliest_arrival_dp(
                 &timeline,
                 &TargetSet::all(n),
                 &mut general,
-                DpOptions { no_degree1_fast_path: true, ..Default::default() },
+                DpOptions::default(),
             );
             assert_eq!(fast.0, general.0, "{text:?} k={k}");
             assert_eq!(fs.trips, gs.trips, "{text:?} k={k}");
@@ -160,7 +176,13 @@ fn directed_same_window_cycle() {
     let s = io::read_str("a b 0\nb a 1\nb c 2\n", Directedness::Directed).unwrap();
     let timeline = Timeline::aggregated(&s, 1);
     let mut sink = Collect::default();
-    earliest_arrival_dp(&timeline, &TargetSet::all(3), &mut sink, DpOptions::default());
+    earliest_arrival_dp_in(
+        &mut EngineArena::new(),
+        &timeline,
+        &TargetSet::all(3),
+        &mut sink,
+        DpOptions::default(),
+    );
     let pairs: Vec<(u32, u32)> = sink.0.iter().map(|&(u, v, ..)| (u, v)).collect();
     // only the three direct links exist as trips
     assert_eq!(pairs.len(), 3);

@@ -120,7 +120,8 @@ fn stream_trips_upper_bound_series_trips_durations() {
         }
     }
     let mut check = Check { reference: &reference, partition, checked: 0 };
-    saturn::trips::earliest_arrival_dp(
+    saturn::trips::earliest_arrival_dp_in(
+        &mut saturn::trips::EngineArena::new(),
         &timeline,
         &targets,
         &mut check,

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use saturn::distrib::{mk_distance_to_uniform, WeightedDist};
 use saturn::prelude::*;
-use saturn::trips::{earliest_arrival_dp, DpOptions, TripSink};
+use saturn::trips::{earliest_arrival_dp_in, DpOptions, EngineArena, TripSink};
 
 fn arb_stream() -> impl Strategy<Value = LinkStream> {
     proptest::collection::vec((0u32..8, 0u32..8, 0i64..200), 2..40).prop_filter_map(
@@ -75,7 +75,7 @@ proptest! {
         let k = if stream.span() == 0 { 1 } else { k.min(stream.span() as u64).max(1) };
         let timeline = Timeline::aggregated(&stream, k);
         let mut sink = Collect::default();
-        earliest_arrival_dp(&timeline, &TargetSet::all(8), &mut sink, DpOptions::default());
+        earliest_arrival_dp_in(&mut EngineArena::new(), &timeline, &TargetSet::all(8), &mut sink, DpOptions::default());
         for &(_, _, dep, arr, hops) in &sink.0 {
             let dur = arr - dep + 1;
             prop_assert!(hops >= 1 && hops <= dur, "rate must be in (0, 1]");
